@@ -280,49 +280,51 @@ fn run() -> Result<(), String> {
     }
 }
 
-/// Whether `dir` holds a pre-sharding, root-level store (PR 3 layout:
-/// WAL and manifest directly in the data dir rather than `shard-0/`).
-fn legacy_store_layout(dir: &std::path::Path) -> bool {
-    dir.join("wal.log").exists() || dir.join("MANIFEST").exists()
-}
-
-/// The per-shard store directories under a serve data dir. A legacy
-/// root-level store keeps working single-sharded; sharding it requires
-/// an explicit migration (moving it into `shard-0/`). Serving with
-/// *fewer* shards than the directory holds is refused: silently opening
-/// only `shard-0..N-1` would drop the extra shards' databases with no
-/// error, and invite conflicting re-creates on the surviving shards.
-fn shard_dirs(dir: &std::path::Path, shards: usize) -> Result<Vec<std::path::PathBuf>, String> {
-    if legacy_store_layout(dir) {
-        if shards > 1 {
-            return Err(format!(
-                "{}: holds a single-shard store at its root; serve it with \
-                 --shards 1, or move its contents into {}/shard-0 to shard it",
-                dir.display(),
-                dir.display()
-            ));
-        }
-        return Ok(vec![dir.to_path_buf()]);
+/// The `shard-<k>/` store directories already under a data dir, sorted
+/// by shard index. A pre-sharding, root-level store (WAL and manifest
+/// directly in the data dir) is refused: opening `shard-0/` beside it
+/// would start an empty catalog next to the operator's data.
+fn existing_shards(dir: &std::path::Path) -> Result<Vec<(usize, std::path::PathBuf)>, String> {
+    if dir.join("wal.log").exists() || dir.join("MANIFEST").exists() {
+        return Err(format!(
+            "{}: holds a single-shard store at its root; move its contents into {}/shard-0",
+            dir.display(),
+            dir.display()
+        ));
     }
+    let mut found = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
-            let name = entry.file_name();
-            if let Some(k) = name
+            if let Some(k) = entry
+                .file_name()
                 .to_string_lossy()
                 .strip_prefix("shard-")
                 .and_then(|s| s.parse::<usize>().ok())
             {
-                if k >= shards {
-                    return Err(format!(
-                        "{}: holds {} but --shards {shards} would not open it; \
-                         serve with --shards {} or rebalance the directory first",
-                        dir.display(),
-                        name.to_string_lossy(),
-                        k + 1
-                    ));
-                }
+                found.push((k, entry.path()));
             }
         }
+    }
+    found.sort();
+    Ok(found)
+}
+
+/// The per-shard store directories a `serve --shards N` opens. Serving
+/// with *fewer* shards than the directory holds is refused: silently
+/// opening only `shard-0..N-1` would drop the extra shards' databases
+/// with no error, and invite conflicting re-creates on the surviving
+/// shards.
+fn shard_dirs(dir: &std::path::Path, shards: usize) -> Result<Vec<std::path::PathBuf>, String> {
+    if let Some((k, _)) = existing_shards(dir)?
+        .into_iter()
+        .find(|(k, _)| *k >= shards)
+    {
+        return Err(format!(
+            "{}: holds shard-{k} but --shards {shards} would not open it; \
+             serve with --shards {} or rebalance the directory first",
+            dir.display(),
+            k + 1
+        ));
     }
     Ok((0..shards)
         .map(|k| dir.join(format!("shard-{k}")))
@@ -570,42 +572,18 @@ fn spawn_metrics<S: ocqa_engine::LineService + 'static>(
 /// manifests and truncates the logs — what the serving engine's
 /// background compactors do, runnable while the server is down
 /// (cold-start restores then read one snapshot per database and replay
-/// nothing). Iterates every `shard-<k>/` store under the directory (or
-/// the directory itself for a pre-sharding layout).
+/// nothing). Iterates every `shard-<k>/` store under the directory.
 fn snapshot_cmd(args: &Args) -> Result<(), String> {
     let dir = args
         .options
         .get("data-dir")
         .ok_or("--data-dir PATH is required")?;
-    let root = std::path::Path::new(dir);
-    // Enumerate the stores: a legacy root-level store, or every
-    // `shard-<k>/` subdirectory (sorted by shard index). A directory
-    // with neither is treated as a fresh single store, matching `serve
-    // --shards 1` on a fresh directory... except a fresh dir has no
-    // shard subdirs yet, so compacting the root is the only sane read.
-    let mut stores: Vec<std::path::PathBuf> = Vec::new();
-    if legacy_store_layout(root) {
-        stores.push(root.to_path_buf());
-    } else {
-        let mut indexed: Vec<(u64, std::path::PathBuf)> = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(root) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                if let Some(idx) = name
-                    .to_string_lossy()
-                    .strip_prefix("shard-")
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    indexed.push((idx, entry.path()));
-                }
-            }
-        }
-        indexed.sort();
-        if indexed.is_empty() {
-            stores.push(root.to_path_buf());
-        } else {
-            stores.extend(indexed.into_iter().map(|(_, p)| p));
-        }
+    let stores: Vec<std::path::PathBuf> = existing_shards(std::path::Path::new(dir))?
+        .into_iter()
+        .map(|(_, path)| path)
+        .collect();
+    if stores.is_empty() {
+        return Err(format!("{dir}: no shard-<k> store to compact"));
     }
     // Open every store (taking its exclusive lock) and validate --db
     // across all of them *before* compacting any: a typo must not leave

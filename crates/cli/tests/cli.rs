@@ -508,3 +508,36 @@ fn serve_sharded_data_dir_survives_sigkill() {
 
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// A pre-sharding data directory (store files at its root) is refused by
+/// both commands that open stores — never served, never compacted, and
+/// never given an empty `shard-0/` beside the operator's data.
+#[test]
+fn root_level_store_layout_is_refused() {
+    let dir = std::env::temp_dir().join(format!("ocqa-cli-rootstore-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal.log"), b"").unwrap();
+    for command in ["serve", "snapshot"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ocqa"))
+            .args([command, "--data-dir", dir.to_str().unwrap()])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{command} must refuse the layout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("move its contents into") && stderr.contains("shard-0"),
+            "{command}: {stderr}"
+        );
+        assert!(!dir.join("shard-0").exists(), "{command} created shard-0");
+    }
+    // With nothing to compact, `snapshot` says so instead of opening a
+    // store at the root (which would create exactly the refused layout).
+    std::fs::remove_file(dir.join("wal.log")).unwrap();
+    let (_, stderr, ok) = ocqa(&["snapshot", "--data-dir", dir.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("no shard-<k> store"), "{stderr}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -14,7 +14,15 @@
 //!
 //! Varints are LEB128. Decoding validates the magic, version, UTF-8 and
 //! schema (arities) and rejects trailing bytes, so a truncated or corrupt
-//! snapshot never produces a half-loaded database.
+//! snapshot never produces a half-loaded database. Every element count is
+//! read through [`get_count`], which refuses a count larger than the
+//! bytes left to decode — a length field is never trusted with an
+//! allocation.
+//!
+//! The module also owns the **outer frame** every checksummed artifact
+//! built on these primitives shares ([`frame`] / [`unframe`]: snapshot
+//! files, manifests, transfer images) and the one [`crc32`] those frames
+//! and the write-ahead log use.
 
 use crate::{Constant, Database, Fact, Schema, SchemaError, Symbol};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -26,35 +34,41 @@ const VERSION: u16 = 1;
 /// Errors raised while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The input does not start with the `OCQA` magic.
+    /// The input does not start with the expected magic.
     BadMagic,
-    /// The snapshot version is newer than this library understands.
+    /// The format version is not the one this library reads.
     UnsupportedVersion(u16),
+    /// A frame's payload does not match its recorded CRC-32.
+    ChecksumMismatch,
     /// The input ended mid-structure.
     UnexpectedEof,
     /// A varint exceeded 64 bits.
     VarintOverflow,
     /// A name was not valid UTF-8.
     InvalidUtf8,
-    /// An unknown constant tag byte.
+    /// An unknown tag byte (constant kind, plan kind).
     BadTag(u8),
     /// The decoded facts conflicted with the decoded schema.
     Schema(SchemaError),
     /// Extra bytes followed a well-formed snapshot.
     TrailingBytes(usize),
+    /// Well-formed bytes that describe an impossible value (named here).
+    Invalid(&'static str),
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "not an OCQA snapshot (bad magic)"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            CodecError::UnexpectedEof => write!(f, "snapshot truncated"),
+            CodecError::BadMagic => write!(f, "bad magic"),
+            CodecError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            CodecError::ChecksumMismatch => write!(f, "checksum mismatch"),
+            CodecError::UnexpectedEof => write!(f, "truncated"),
             CodecError::VarintOverflow => write!(f, "varint overflow"),
             CodecError::InvalidUtf8 => write!(f, "invalid UTF-8 in name"),
-            CodecError::BadTag(t) => write!(f, "unknown constant tag {t:#x}"),
+            CodecError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
             CodecError::Schema(e) => write!(f, "schema error: {e}"),
-            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after snapshot"),
+            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
+            CodecError::Invalid(what) => write!(f, "invalid {what}"),
         }
     }
 }
@@ -102,6 +116,86 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
     }
 }
 
+/// Reads an element count, refusing one larger than the bytes left in
+/// `buf`. Every element of every list in these formats occupies at least
+/// one byte, so a larger count is corrupt or hostile — and because the
+/// sender computes the checksum, a CRC is no defence against the latter.
+/// Callers may therefore size an allocation by the returned count.
+pub fn get_count(buf: &mut Bytes) -> Result<usize, CodecError> {
+    let count = get_varint(buf)?;
+    if count > buf.remaining() as u64 {
+        return Err(CodecError::UnexpectedEof);
+    }
+    Ok(count as usize)
+}
+
+/// Fails with [`CodecError::TrailingBytes`] unless `buf` is fully consumed.
+pub fn expect_end(buf: &Bytes) -> Result<(), CodecError> {
+    match buf.remaining() {
+        0 => Ok(()),
+        n => Err(CodecError::TrailingBytes(n)),
+    }
+}
+
+/// CRC-32 (IEEE 802.3) lookup table, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE) of `data` — the checksum of every frame and WAL record.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// Wraps `payload` in the shared outer frame:
+/// `magic | u16 LE format-version | u32 LE crc32(payload) | payload`.
+pub fn frame(magic: &[u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 10);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Checks a [`frame`] — magic, exact format version, checksum — and
+/// returns its payload. A frame is accepted or rejected whole.
+pub fn unframe<'a>(magic: &[u8; 4], version: u16, data: &'a [u8]) -> Result<&'a [u8], CodecError> {
+    if data.len() < 10 || &data[..4] != magic {
+        return Err(CodecError::BadMagic);
+    }
+    let found = u16::from_le_bytes([data[4], data[5]]);
+    if found != version {
+        return Err(CodecError::UnsupportedVersion(found));
+    }
+    let crc = u32::from_le_bytes([data[6], data[7], data[8], data[9]]);
+    let payload = &data[10..];
+    if crc32(payload) != crc {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    Ok(payload)
+}
+
 /// Appends a length-prefixed UTF-8 string (wire primitive).
 pub fn put_name(buf: &mut BytesMut, name: &str) {
     put_varint(buf, name.len() as u64);
@@ -110,10 +204,7 @@ pub fn put_name(buf: &mut BytesMut, name: &str) {
 
 /// Reads a length-prefixed UTF-8 string (inverse of [`put_name`]).
 pub fn get_name(buf: &mut Bytes) -> Result<String, CodecError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::UnexpectedEof);
-    }
+    let len = get_count(buf)?;
     let raw = buf.copy_to_bytes(len);
     String::from_utf8(raw.to_vec()).map_err(|_| CodecError::InvalidUtf8)
 }
@@ -149,11 +240,33 @@ pub fn get_constant(buf: &mut Bytes) -> Result<Constant, CodecError> {
     }
 }
 
-/// Serializes a database (schema + all facts) into a snapshot.
-pub fn encode_database(db: &Database) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + db.len() * 16);
+/// Starts a payload of `capacity` bytes with the `OCQA` header.
+fn with_header(capacity: usize) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(capacity);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
+    buf
+}
+
+/// Checks the `OCQA` header and returns the bytes after it.
+fn after_header(input: &[u8]) -> Result<Bytes, CodecError> {
+    let mut buf = Bytes::copy_from_slice(input);
+    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    if buf.remaining() < 2 {
+        return Err(CodecError::UnexpectedEof);
+    }
+    let version = buf.get_u16_le();
+    if version != VERSION {
+        return Err(CodecError::UnsupportedVersion(version));
+    }
+    Ok(buf)
+}
+
+/// Serializes a database (schema + all facts) into a snapshot.
+pub fn encode_database(db: &Database) -> Bytes {
+    let mut buf = with_header(64 + db.len() * 16);
     let relations: Vec<(Symbol, usize)> = db.schema().relations().collect();
     put_varint(&mut buf, relations.len() as u64);
     for (rel, arity) in relations {
@@ -172,18 +285,8 @@ pub fn encode_database(db: &Database) -> Bytes {
 
 /// Decodes a snapshot produced by [`encode_database`].
 pub fn decode_database(input: &[u8]) -> Result<Database, CodecError> {
-    let mut buf = Bytes::copy_from_slice(input);
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if buf.remaining() < 2 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let nrel = get_varint(&mut buf)? as usize;
+    let mut buf = after_header(input)?;
+    let nrel = get_count(&mut buf)?;
     let mut builder = Schema::builder();
     // Rows are decoded eagerly but inserted only after the schema is
     // sealed, so arity validation applies to every fact.
@@ -192,10 +295,12 @@ pub fn decode_database(input: &[u8]) -> Result<Database, CodecError> {
         let name = get_name(&mut buf)?;
         let arity = get_varint(&mut buf)? as usize;
         builder = builder.relation(&name, arity);
-        let count = get_varint(&mut buf)?;
-        let mut rel_rows = Vec::with_capacity(count as usize);
+        let count = get_count(&mut buf)?;
+        let mut rel_rows = Vec::with_capacity(count);
         for _ in 0..count {
-            let mut row = Vec::with_capacity(arity);
+            // `arity` precedes the row count, so it is bounded here, where
+            // its constants must follow.
+            let mut row = Vec::with_capacity(arity.min(buf.remaining()));
             for _ in 0..arity {
                 row.push(get_constant(&mut buf)?);
             }
@@ -203,9 +308,7 @@ pub fn decode_database(input: &[u8]) -> Result<Database, CodecError> {
         }
         rows.push((Symbol::intern(&name), arity, rel_rows));
     }
-    if buf.has_remaining() {
-        return Err(CodecError::TrailingBytes(buf.remaining()));
-    }
+    expect_end(&buf)?;
     let schema = builder.build()?;
     let mut db = Database::new(schema);
     for (rel, _arity, rel_rows) in rows {
@@ -229,7 +332,7 @@ pub fn put_fact(buf: &mut BytesMut, f: &Fact) {
 /// Reads one schema-less fact (inverse of [`put_fact`]).
 pub fn get_fact(buf: &mut Bytes) -> Result<Fact, CodecError> {
     let name = get_name(buf)?;
-    let arity = get_varint(buf)? as usize;
+    let arity = get_count(buf)?;
     let mut args = Vec::with_capacity(arity);
     for _ in 0..arity {
         args.push(get_constant(buf)?);
@@ -240,9 +343,7 @@ pub fn get_fact(buf: &mut Bytes) -> Result<Fact, CodecError> {
 /// Serializes a bare fact list (for deletion sets, answer materializations
 /// and similar artifacts that carry no schema).
 pub fn encode_facts(facts: &[Fact]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + facts.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
+    let mut buf = with_header(16 + facts.len() * 16);
     put_varint(&mut buf, facts.len() as u64);
     for f in facts {
         put_fact(&mut buf, f);
@@ -252,25 +353,13 @@ pub fn encode_facts(facts: &[Fact]) -> Bytes {
 
 /// Decodes a fact list produced by [`encode_facts`].
 pub fn decode_facts(input: &[u8]) -> Result<Vec<Fact>, CodecError> {
-    let mut buf = Bytes::copy_from_slice(input);
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if buf.remaining() < 2 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let count = get_varint(&mut buf)? as usize;
+    let mut buf = after_header(input)?;
+    let count = get_count(&mut buf)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         out.push(get_fact(&mut buf)?);
     }
-    if buf.has_remaining() {
-        return Err(CodecError::TrailingBytes(buf.remaining()));
-    }
+    expect_end(&buf)?;
     Ok(out)
 }
 
@@ -281,9 +370,7 @@ pub fn decode_facts(input: &[u8]) -> Result<Vec<Fact>, CodecError> {
 /// whole database, and replaying the deltas over a base snapshot
 /// reconstructs the exact post-update fact set.
 pub fn encode_delta(added: &[Fact], removed: &[Fact]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + (added.len() + removed.len()) * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
+    let mut buf = with_header(16 + (added.len() + removed.len()) * 16);
     for list in [added, removed] {
         put_varint(&mut buf, list.len() as u64);
         for f in list {
@@ -296,28 +383,16 @@ pub fn encode_delta(added: &[Fact], removed: &[Fact]) -> Bytes {
 /// Decodes a delta produced by [`encode_delta`], returning
 /// `(added, removed)`.
 pub fn decode_delta(input: &[u8]) -> Result<(Vec<Fact>, Vec<Fact>), CodecError> {
-    let mut buf = Bytes::copy_from_slice(input);
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if buf.remaining() < 2 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    let mut buf = after_header(input)?;
     let mut lists: [Vec<Fact>; 2] = [Vec::new(), Vec::new()];
     for list in &mut lists {
-        let count = get_varint(&mut buf)? as usize;
+        let count = get_count(&mut buf)?;
         list.reserve(count);
         for _ in 0..count {
             list.push(get_fact(&mut buf)?);
         }
     }
-    if buf.has_remaining() {
-        return Err(CodecError::TrailingBytes(buf.remaining()));
-    }
+    expect_end(&buf)?;
     let [added, removed] = lists;
     Ok((added, removed))
 }
@@ -454,6 +529,131 @@ mod tests {
         // version(2) + count(1) + namelen(1) + "R"(1) + arity(1).
         bytes[10] = 0x7E;
         assert_eq!(decode_facts(&bytes).unwrap_err(), CodecError::BadTag(0x7E));
+    }
+
+    #[test]
+    fn crc_known_vectors() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "IEEE check value");
+    }
+
+    #[test]
+    fn frame_roundtrip_and_rejections() {
+        let framed = frame(b"TEST", 7, b"payload");
+        assert_eq!(unframe(b"TEST", 7, &framed).unwrap(), b"payload");
+        assert_eq!(unframe(b"TEST", 7, &frame(b"TEST", 7, b"")).unwrap(), b"");
+        assert_eq!(
+            unframe(b"NOPE", 7, &framed).unwrap_err(),
+            CodecError::BadMagic
+        );
+        assert_eq!(
+            unframe(b"TEST", 8, &framed).unwrap_err(),
+            CodecError::UnsupportedVersion(7)
+        );
+        for cut in 0..10 {
+            assert_eq!(
+                unframe(b"TEST", 7, &framed[..cut]).unwrap_err(),
+                CodecError::BadMagic,
+                "a frame shorter than its header"
+            );
+        }
+        for cut in 10..framed.len() {
+            assert_eq!(
+                unframe(b"TEST", 7, &framed[..cut]).unwrap_err(),
+                CodecError::ChecksumMismatch
+            );
+        }
+        for i in 6..framed.len() {
+            let mut bad = framed.clone();
+            bad[i] ^= 0x10;
+            assert_eq!(
+                unframe(b"TEST", 7, &bad).unwrap_err(),
+                CodecError::ChecksumMismatch,
+                "flipped bit in byte {i}"
+            );
+        }
+    }
+
+    /// `OCQA | u16 1`, then whatever `body` appends.
+    fn headed(body: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut buf = with_header(32);
+        body(&mut buf);
+        buf.freeze()
+    }
+
+    #[test]
+    fn length_fields_cannot_size_an_allocation() {
+        // Each case is a few bytes whose one length field claims 2^44
+        // elements. Decoding must fail on the count itself: allocating
+        // for it first dies with an allocation failure, which no
+        // `catch_unwind` survives.
+        const HUGE: u64 = 1 << 44;
+        let eof = Err::<(), _>(CodecError::UnexpectedEof);
+
+        // decode_database: relation count, row count, arity (once a row
+        // follows), name length.
+        let db = |body: fn(&mut BytesMut)| decode_database(&headed(body)).map(|_| ());
+        assert_eq!(db(|b| put_varint(b, HUGE)), eof);
+        assert_eq!(
+            db(|b| {
+                put_varint(b, 1);
+                put_name(b, "R");
+                put_varint(b, 1);
+                put_varint(b, HUGE);
+            }),
+            eof,
+            "the payload of the bug report"
+        );
+        assert_eq!(
+            db(|b| {
+                put_varint(b, 1);
+                put_name(b, "R");
+                put_varint(b, HUGE);
+                put_varint(b, 1);
+            }),
+            eof
+        );
+        assert_eq!(
+            db(|b| {
+                put_varint(b, 1);
+                put_varint(b, HUGE);
+            }),
+            eof
+        );
+        // A zero-arity relation's rows occupy no bytes, so its row count
+        // is bounded like any other and the schema then refuses it.
+        assert!(matches!(
+            db(|b| {
+                put_varint(b, 1);
+                put_name(b, "R");
+                put_varint(b, 0);
+                put_varint(b, 0);
+            }),
+            Err(CodecError::Schema(_))
+        ));
+
+        // decode_facts / get_fact: fact count, arity.
+        let facts = |body: fn(&mut BytesMut)| decode_facts(&headed(body)).map(|_| ());
+        assert_eq!(facts(|b| put_varint(b, HUGE)), eof);
+        assert_eq!(
+            facts(|b| {
+                put_varint(b, 1);
+                put_name(b, "R");
+                put_varint(b, HUGE);
+            }),
+            eof
+        );
+
+        // decode_delta: both list counts.
+        let delta = |body: fn(&mut BytesMut)| decode_delta(&headed(body)).map(|_| ());
+        assert_eq!(delta(|b| put_varint(b, HUGE)), eof);
+        assert_eq!(
+            delta(|b| {
+                put_varint(b, 0);
+                put_varint(b, HUGE);
+            }),
+            eof
+        );
     }
 
     proptest! {

@@ -1,8 +1,9 @@
 //! The catalog: named, versioned databases with incremental violation
 //! maintenance.
 //!
-//! Each entry owns a [`Database`], its constraint set, and the current
-//! violation set `V(D, Σ)` — maintained through
+//! Each entry owns a [`DbImage`] — the database, its constraint text and
+//! the current violation set `V(D, Σ)` at the entry's version — plus the
+//! parsed constraint set. The violation set is maintained through
 //! [`ocqa_logic::incremental::update_violations`] on every insert/delete
 //! batch instead of recomputed from scratch (the catalog is long-lived;
 //! recomputation would make every small update `O(|D|^{|body|})`).
@@ -14,8 +15,9 @@
 //! costs one base-domain rebuild — never a full violation recomputation.
 
 use crate::error::EngineError;
+use crate::image::DbImage;
 use crate::planner::{classify, DbPlan, DbStats, PlanKind};
-use crate::storage::{InstallImage, RestoredDatabase, UpdateDelta};
+use crate::storage::UpdateDelta;
 use ocqa_core::RepairContext;
 use ocqa_data::{Database, Fact};
 use ocqa_logic::{incremental, parser, ConstraintSet, ViolationSet};
@@ -25,17 +27,13 @@ use std::sync::Arc;
 
 /// One named database under management.
 struct CatalogEntry {
-    db: Database,
+    /// The served state: name, current version, plan classification (a
+    /// function of `sigma` alone, fixed at install time), constraint
+    /// source text, facts and maintained violation set. Journaling,
+    /// export and recovery all hand this one value around.
+    image: DbImage,
+    /// `image.constraints`, parsed once.
     sigma: ConstraintSet,
-    violations: ViolationSet,
-    version: u64,
-    /// The original constraint source text, retained verbatim so the
-    /// entry can be exported as a snapshot transfer image (the parsed
-    /// `ConstraintSet` has no guaranteed round-trippable rendering).
-    constraints_src: String,
-    /// Structural answer-plan classification — a function of `sigma`
-    /// alone, computed once at install time.
-    plan_kind: PlanKind,
     /// Conflict-structure statistics of the current version, maintained
     /// here on install/update/restore (derived from the incrementally
     /// maintained violation set, so keeping it current costs `O(|V|·α)`
@@ -158,8 +156,7 @@ impl Catalog {
     }
 
     /// [`install`](Catalog::install) with a journaling hook: `journal` is
-    /// called with the full install image — name, committed version, the
-    /// database, constraint text, plan classification and violation set —
+    /// called with the image about to be committed — at a fresh version —
     /// after validation but **before** the catalog mutates, so a failing
     /// journal vetoes the install and the durable log never lags the
     /// in-memory state.
@@ -167,72 +164,78 @@ impl Catalog {
         &mut self,
         name: &str,
         parsed: ParsedDatabase,
-        journal: impl FnOnce(&InstallImage<'_>) -> Result<(), EngineError>,
+        journal: impl FnOnce(&DbImage) -> Result<(), EngineError>,
     ) -> Result<DatabaseInfo, EngineError> {
-        if self.entries.contains_key(name) {
-            return Err(EngineError::DatabaseExists(name.to_string()));
-        }
-        let version = self.next_version + 1;
-        let plan_kind = classify(&parsed.sigma);
-        journal(&InstallImage {
-            name,
-            version,
-            db: &parsed.db,
-            constraints: &parsed.constraints_src,
-            plan: plan_kind,
-            violations: &parsed.violations,
-        })?;
-        self.next_version = version;
-        let stats = DbStats::compute(&parsed.db, &parsed.sigma, &parsed.violations);
-        let entry = CatalogEntry {
-            plan_kind,
-            stats,
+        let image = DbImage {
+            name: name.to_string(),
+            version: self.next_version + 1,
+            plan: classify(&parsed.sigma),
+            constraints: parsed.constraints_src,
             db: parsed.db,
-            sigma: parsed.sigma,
             violations: parsed.violations,
-            version,
-            constraints_src: parsed.constraints_src,
-            snapshot: Mutex::new(None),
-            plan: Mutex::new(None),
         };
-        let info = entry.info(name);
-        self.entries.insert(name.to_string(), entry);
-        Ok(info)
+        self.commit(image, parsed.sigma, journal)
     }
 
-    /// Reinstalls a database recovered by a storage backend: the version,
-    /// plan classification and violation set are restored verbatim —
-    /// nothing is recomputed beyond parsing the constraint text. The
-    /// global version counter is raised to cover the restored version.
-    pub fn restore(&mut self, restored: RestoredDatabase) -> Result<DatabaseInfo, EngineError> {
-        if self.entries.contains_key(&restored.name) {
-            return Err(EngineError::Storage(format!(
-                "recovered database {:?} twice",
-                restored.name
-            )));
-        }
-        let sigma = parser::parse_constraints(&restored.constraints)
-            .map_err(|e| EngineError::Storage(format!("recovered constraints: {e}")))?;
+    /// Installs an image **verbatim** — what a storage backend recovered,
+    /// or what another shard shipped: the version, plan classification
+    /// and violation set are taken as they are, nothing is recomputed
+    /// beyond parsing the constraint text, and the global version counter
+    /// is raised to cover the image's version. `journal` as in
+    /// [`install_with`](Catalog::install_with) (recovery passes a no-op:
+    /// the state is already durable).
+    pub fn restore(
+        &mut self,
+        image: DbImage,
+        journal: impl FnOnce(&DbImage) -> Result<(), EngineError>,
+    ) -> Result<DatabaseInfo, EngineError> {
+        let sigma = parser::parse_constraints(&image.constraints)
+            .map_err(|e| EngineError::Storage(format!("image constraints: {e}")))?;
         debug_assert_eq!(
             classify(&sigma),
-            restored.plan,
+            image.plan,
             "recorded plan classification drifted from classify()"
         );
-        self.next_version = self.next_version.max(restored.version);
-        let stats = DbStats::compute(&restored.db, &sigma, &restored.violations);
+        // Every violation must name a constraint of Σ and bind its body:
+        // the planner statistics and every walk resolve `h(body)` and
+        // would panic on an image (a shipped one comes off the network)
+        // that breaks this.
+        let grounded = image.violations.iter().all(|v| {
+            sigma
+                .constraints()
+                .get(v.constraint as usize)
+                .is_some_and(|k| k.body().iter().all(|atom| atom.apply(&v.hom).is_some()))
+        });
+        if !grounded {
+            return Err(EngineError::Storage(
+                "image violations do not fit its constraints".into(),
+            ));
+        }
+        self.commit(image, sigma, journal)
+    }
+
+    /// The one place an entry is born: refuse a taken name, journal, then
+    /// mutate.
+    fn commit(
+        &mut self,
+        image: DbImage,
+        sigma: ConstraintSet,
+        journal: impl FnOnce(&DbImage) -> Result<(), EngineError>,
+    ) -> Result<DatabaseInfo, EngineError> {
+        if self.entries.contains_key(&image.name) {
+            return Err(EngineError::DatabaseExists(image.name));
+        }
+        journal(&image)?;
+        self.next_version = self.next_version.max(image.version);
         let entry = CatalogEntry {
-            plan_kind: restored.plan,
-            stats,
-            db: restored.db,
+            stats: DbStats::compute(&image.db, &sigma, &image.violations),
+            image,
             sigma,
-            violations: restored.violations,
-            version: restored.version,
-            constraints_src: restored.constraints,
             snapshot: Mutex::new(None),
             plan: Mutex::new(None),
         };
-        let info = entry.info(&restored.name);
-        self.entries.insert(restored.name, entry);
+        let info = entry.info();
+        self.entries.insert(info.name.clone(), entry);
         Ok(info)
     }
 
@@ -249,7 +252,7 @@ impl Catalog {
     /// cache: the global counter guarantees any recreated incarnation
     /// starts strictly higher.
     pub fn drop_db(&mut self, name: &str) -> Option<u64> {
-        self.entries.remove(name).map(|e| e.version)
+        self.entries.remove(name).map(|e| e.image.version)
     }
 
     /// Applies an insert/delete batch of facts (given as fact-list source
@@ -309,7 +312,7 @@ impl Catalog {
 
         // Apply on a scratch copy first so a schema error midway leaves
         // the entry untouched.
-        let mut db = entry.db.clone();
+        let mut db = entry.image.db.clone();
         let mut added: Vec<Fact> = Vec::new();
         let mut removed: Vec<Fact> = Vec::new();
         for f in inserts {
@@ -329,9 +332,10 @@ impl Catalog {
         // the two lists disjoint, and both expressed relative to the
         // pre-state. A fact appearing in both batches (inserted here,
         // then deleted again) would break that; keep only the *net*
-        // effect between the pre-state (`entry.db`) and the post-state.
-        added.retain(|f| db.contains(f) && !entry.db.contains(f));
-        removed.retain(|f| !db.contains(f) && entry.db.contains(f));
+        // effect between the pre-state (`entry.image.db`) and the
+        // post-state.
+        added.retain(|f| db.contains(f) && !entry.image.db.contains(f));
+        removed.retain(|f| !db.contains(f) && entry.image.db.contains(f));
         if added.is_empty() && removed.is_empty() {
             // Nothing actually changed: keep the version (and with it the
             // memoized snapshot and every cached answer) — idempotent
@@ -340,8 +344,8 @@ impl Catalog {
                 UpdateOutcome {
                     inserted: 0,
                     removed: 0,
-                    version: entry.version,
-                    violations: entry.violations.len(),
+                    version: entry.image.version,
+                    violations: entry.image.violations.len(),
                 },
                 Vec::new(),
             ));
@@ -352,28 +356,33 @@ impl Catalog {
             inserted: &added,
             removed: &removed,
         })?;
-        let violations =
-            incremental::update_violations(&entry.sigma, &db, &entry.violations, &added, &removed);
+        let violations = incremental::update_violations(
+            &entry.sigma,
+            &db,
+            &entry.image.violations,
+            &added,
+            &removed,
+        );
         let touched = crate::subscribe::touched_relations(
             &entry.sigma,
-            &entry.violations,
+            &entry.image.violations,
             &violations,
             &added,
             &removed,
         );
         self.next_version = next_version;
         entry.stats = DbStats::compute(&db, &entry.sigma, &violations);
-        entry.db = db;
-        entry.violations = violations;
-        entry.version = next_version;
+        entry.image.db = db;
+        entry.image.violations = violations;
+        entry.image.version = next_version;
         *entry.snapshot.get_mut() = None;
         *entry.plan.get_mut() = None;
         Ok((
             UpdateOutcome {
                 inserted: added.len(),
                 removed: removed.len(),
-                version: entry.version,
-                violations: entry.violations.len(),
+                version: next_version,
+                violations: entry.image.violations.len(),
             },
             touched,
         ))
@@ -408,9 +417,9 @@ impl Catalog {
         let mut snapshot = entry.snapshot.lock();
         if snapshot.is_none() {
             *snapshot = Some(RepairContext::with_violations(
-                entry.db.clone(),
+                entry.image.db.clone(),
                 entry.sigma.clone(),
-                entry.violations.clone(),
+                entry.image.violations.clone(),
             ));
         }
         let ctx = snapshot.as_ref().expect("just memoized").clone();
@@ -421,7 +430,7 @@ impl Catalog {
         }
         Ok((
             ctx,
-            entry.version,
+            entry.image.version,
             plan.as_ref().expect("just memoized").clone(),
         ))
     }
@@ -430,7 +439,7 @@ impl Catalog {
     pub fn plan_kind(&self, name: &str) -> Result<PlanKind, EngineError> {
         self.entries
             .get(name)
-            .map(|e| e.plan_kind)
+            .map(|e| e.image.plan)
             .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))
     }
 
@@ -457,50 +466,39 @@ impl Catalog {
     pub fn info(&self, name: &str) -> Result<DatabaseInfo, EngineError> {
         self.entries
             .get(name)
-            .map(|e| e.info(name))
+            .map(CatalogEntry::info)
             .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))
     }
 
-    /// Exports one entry as a snapshot [`TransferImage`]: the database,
-    /// constraint source text, plan classification, maintained violation
-    /// set and — crucially — the exact catalog **version**, so the shard
-    /// that installs the image reports the same `db_version`s and builds
-    /// the same answer-cache keys as the exporting shard (byte-identical
+    /// A copy of one entry's [`DbImage`]: the database, constraint source
+    /// text, plan classification, maintained violation set and —
+    /// crucially — the exact catalog **version**, so the shard that
+    /// installs the image reports the same `db_version`s and builds the
+    /// same answer-cache keys as the exporting shard (byte-identical
     /// answers across a rebalance).
-    ///
-    /// [`TransferImage`]: crate::transfer::TransferImage
-    pub fn export(&self, name: &str) -> Result<crate::transfer::TransferImage, EngineError> {
-        let entry = self
-            .entries
+    pub fn export(&self, name: &str) -> Result<DbImage, EngineError> {
+        self.entries
             .get(name)
-            .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))?;
-        Ok(crate::transfer::TransferImage {
-            name: name.to_string(),
-            version: entry.version,
-            plan: entry.plan_kind,
-            constraints: entry.constraints_src.clone(),
-            db: entry.db.clone(),
-            violations: entry.violations.clone(),
-        })
+            .map(|e| e.image.clone())
+            .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))
     }
 
     /// Info for every entry, sorted by name.
     pub fn list(&self) -> Vec<DatabaseInfo> {
-        let mut out: Vec<DatabaseInfo> =
-            self.entries.iter().map(|(name, e)| e.info(name)).collect();
+        let mut out: Vec<DatabaseInfo> = self.entries.values().map(CatalogEntry::info).collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
 }
 
 impl CatalogEntry {
-    fn info(&self, name: &str) -> DatabaseInfo {
+    fn info(&self) -> DatabaseInfo {
         DatabaseInfo {
-            name: name.to_string(),
-            version: self.version,
-            facts: self.db.len(),
-            violations: self.violations.len(),
-            plan: self.plan_kind,
+            name: self.image.name.clone(),
+            version: self.image.version,
+            facts: self.image.db.len(),
+            violations: self.image.violations.len(),
+            plan: self.image.plan,
         }
     }
 }
@@ -672,6 +670,49 @@ mod tests {
             .update_parsed_with("db", &inserts, &[], |_| Ok(()))
             .unwrap();
         assert_eq!(touched, vec!["R".to_string()]);
+    }
+
+    #[test]
+    fn export_then_restore_is_verbatim_and_checks_the_violations() {
+        let mut cat = Catalog::new();
+        cat.create("db", "R(1,10). R(1,20). S(5).", "R(x,y), R(x,z) -> y = z.")
+            .unwrap();
+        cat.update("db", "R(2,30).", "").unwrap();
+        let image = cat.export("db").unwrap();
+        assert_eq!((image.version, image.violations.len()), (2, 2));
+
+        // A fresh catalog takes the image as it is — version included —
+        // and journals exactly what it installs.
+        let mut other = Catalog::new();
+        let mut journaled = None;
+        let info = other
+            .restore(image.clone(), |img| {
+                journaled = Some(img.version);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(info, cat.info("db").unwrap());
+        assert_eq!(journaled, Some(2));
+        let next = other.update("db", "S(6).", "").unwrap().version;
+        assert_eq!(next, 3, "the counter was raised over the image's version");
+        // The name is taken now, journal or not.
+        assert!(matches!(
+            other.restore(image.clone(), |_| panic!("journaled a refused install")),
+            Err(EngineError::DatabaseExists(_))
+        ));
+
+        // A violation pointing past Σ is refused before anything resolves
+        // it (and before the journal sees the image).
+        let mut broken = image;
+        broken.name = "broken".into();
+        let hom = broken.violations.iter().next().unwrap().hom.clone();
+        broken
+            .violations
+            .insert(ocqa_logic::Violation { constraint: 7, hom });
+        assert!(matches!(
+            other.restore(broken, |_| panic!("journaled a refused install")),
+            Err(EngineError::Storage(_))
+        ));
     }
 
     #[test]

@@ -1093,7 +1093,8 @@ mod tests {
 
     #[test]
     fn vetoing_backend_blocks_mutations() {
-        use crate::storage::{InstallImage, RecoveredState, StorageBackend, UpdateDelta};
+        use crate::image::DbImage;
+        use crate::storage::{RecoveredState, StorageBackend, UpdateDelta};
 
         /// Journals nothing and vetoes everything: every mutation must
         /// fail *and leave no trace* — the journal-before-mutate contract.
@@ -1105,7 +1106,7 @@ mod tests {
             fn recover(&self) -> Result<RecoveredState, EngineError> {
                 Ok(RecoveredState::empty())
             }
-            fn journal_install(&self, _: &InstallImage<'_>) -> Result<(), EngineError> {
+            fn journal_install(&self, _: &DbImage) -> Result<(), EngineError> {
                 Err(EngineError::Storage("no".into()))
             }
             fn journal_update(&self, _: &UpdateDelta<'_>) -> Result<(), EngineError> {
@@ -1152,7 +1153,8 @@ mod tests {
 
     #[test]
     fn with_backend_restores_versions_plans_and_prepared_handles() {
-        use crate::storage::{RecoveredState, RestoredDatabase};
+        use crate::image::DbImage;
+        use crate::storage::RecoveredState;
         use ocqa_logic::{parser, ViolationSet};
         use parking_lot::Mutex;
 
@@ -1172,10 +1174,7 @@ mod tests {
             fn recover(&self) -> Result<RecoveredState, EngineError> {
                 Ok(self.0.lock().take().expect("recovered once"))
             }
-            fn journal_install(
-                &self,
-                _: &crate::storage::InstallImage<'_>,
-            ) -> Result<(), EngineError> {
+            fn journal_install(&self, _: &DbImage) -> Result<(), EngineError> {
                 Ok(())
             }
             fn journal_update(
@@ -1193,7 +1192,7 @@ mod tests {
         }
 
         let state = RecoveredState {
-            databases: vec![RestoredDatabase {
+            databases: vec![DbImage {
                 name: "kv".into(),
                 version: 7,
                 db,

@@ -18,6 +18,14 @@
 //!   insert/delete; the violation index `V(D, Σ)` is maintained through
 //!   `ocqa_logic::incremental` rather than recomputed per update, and
 //!   sampling snapshots reuse it via `RepairContext::with_violations`;
+//! * [`DbImage`] ([`image`]) — one database's whole serving state
+//!   `(D, Σ, V(D, Σ))` plus version and plan class, as **one** struct
+//!   with **one** binary codec. A catalog entry holds one; the
+//!   [`StorageBackend`] seam journals and recovers them; `ocqa-store`
+//!   writes them as snapshot files and WAL install records;
+//!   `fetch_snapshot` / `install_snapshot` ship one between shards
+//!   ([`transfer`]: the same frame, base64-wrapped). Recovery and a
+//!   shipped install are the same call, [`Catalog::restore`];
 //! * [`PreparedQuery`] / [`PreparedRegistry`] — parse and validate a
 //!   query once, reuse the handle across requests;
 //! * [`SamplerPool`] — a fixed worker-thread pool that fans each
@@ -85,6 +93,7 @@ pub mod catalog;
 mod engine;
 mod error;
 pub mod frontdoor;
+pub mod image;
 pub mod json;
 pub mod obs;
 pub mod planner;
@@ -107,6 +116,7 @@ pub use error::EngineError;
 pub use frontdoor::{
     parse_request, route_of, FrontDoor, RouteConfig, RouteProxy, RouteTarget, FAILOVER_AFTER,
 };
+pub use image::DbImage;
 pub use obs::expo::{render_prometheus, spawn_exposition_listener};
 pub use obs::{HistSnapshot, Histogram, MetricsSnapshot, ShardMetrics, SlowLog};
 pub use planner::{
@@ -120,15 +130,14 @@ pub use proto::{
 };
 pub use router::{Router, Topology};
 pub use server::{
-    handle_connection, serve_listener, serve_listener_with, serve_session, serve_stdio, Frame,
-    LineService, MAX_LINE_BYTES,
+    serve_listener, serve_listener_with, serve_session, serve_stdio, Frame, LineService,
+    MAX_LINE_BYTES,
 };
 pub use shard::{ShardEngine, ShardStats};
 pub use singleflight::SingleFlight;
 pub use storage::{
-    FeedbackImage, HotKey, InstallImage, MemoryBackend, PlanFeedback, RecoveredState,
-    RestoredDatabase, StorageBackend, UpdateDelta,
+    FeedbackImage, HotKey, MemoryBackend, PlanFeedback, RecoveredState, StorageBackend, UpdateDelta,
 };
 pub use subscribe::{PushOutcome, PushSession, Subscription, SubscriptionRegistry};
-pub use transfer::{decode_image, encode_image, TransferImage};
+pub use transfer::{decode_image, encode_image};
 pub use upstream::Upstream;

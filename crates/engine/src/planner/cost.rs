@@ -58,13 +58,12 @@ impl PlannerMode {
         }
     }
 
-    /// Parses a mode name. `"on"` is accepted as an alias for `"cost"`
-    /// (the pre-v2 `--planner on` spelling).
+    /// Parses a mode name.
     pub fn parse(s: &str) -> Option<PlannerMode> {
         match s {
             "off" => Some(PlannerMode::Off),
             "static" => Some(PlannerMode::Static),
-            "cost" | "on" => Some(PlannerMode::Cost),
+            "cost" => Some(PlannerMode::Cost),
             _ => None,
         }
     }
@@ -454,7 +453,7 @@ mod tests {
         for mode in [PlannerMode::Off, PlannerMode::Static, PlannerMode::Cost] {
             assert_eq!(PlannerMode::parse(mode.as_str()), Some(mode));
         }
-        assert_eq!(PlannerMode::parse("on"), Some(PlannerMode::Cost));
+        assert_eq!(PlannerMode::parse("on"), None, "the pre-v2 alias is gone");
         assert_eq!(PlannerMode::parse("turbo"), None);
         assert_eq!(PlannerMode::default(), PlannerMode::Cost);
     }

@@ -8,7 +8,7 @@
 
 use crate::subscribe::PushSession;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -20,6 +20,16 @@ use std::time::Duration;
 /// whole base64 transfer image as one line — while still bounding what a
 /// misbehaving client can pin.
 pub const MAX_LINE_BYTES: u64 = 64 << 20;
+
+/// Reply to a request line longer than [`MAX_LINE_BYTES`]; the session
+/// then closes. Shared by both line disciplines (stdio sessions and the
+/// pooled TCP workers).
+fn line_too_long_reply() -> String {
+    format!(r#"{{"ok":false,"error":"request line longer than {MAX_LINE_BYTES} bytes"}}"#)
+}
+
+/// Reply to a request line that is not valid UTF-8; the session goes on.
+const NOT_UTF8_REPLY: &str = r#"{"ok":false,"error":"request line is not valid UTF-8"}"#;
 
 /// Anything that serves the NDJSON protocol one line at a time.
 pub trait LineService: Send + Sync {
@@ -101,18 +111,12 @@ pub fn serve_session<S: LineService + ?Sized>(
         let line = match read_frame(&mut input)? {
             Frame::Eof => return Ok(()),
             Frame::TooLong => {
-                writeln!(
-                    output,
-                    r#"{{"ok":false,"error":"request line longer than {MAX_LINE_BYTES} bytes"}}"#
-                )?;
+                writeln!(output, "{}", line_too_long_reply())?;
                 output.flush()?;
                 return Ok(());
             }
             Frame::NotUtf8 => {
-                writeln!(
-                    output,
-                    r#"{{"ok":false,"error":"request line is not valid UTF-8"}}"#
-                )?;
+                writeln!(output, "{NOT_UTF8_REPLY}")?;
                 output.flush()?;
                 continue;
             }
@@ -294,9 +298,9 @@ fn accept_loop<S: LineService + 'static>(
             .name(format!("ocqa-conn-worker-{i}"))
             .spawn(move || conn_worker_loop(&*service, &queue))
         {
-            Ok(_) => spawned += 1, // detached: outlives a fatal accept error,
-            // so in-flight sessions finish exactly as the old
-            // thread-per-connection loop let them
+            // Detached: workers outlive a fatal accept error, so in-flight
+            // sessions still finish.
+            Ok(_) => spawned += 1,
             Err(e) => spawn_err = Some(e),
         }
     }
@@ -372,12 +376,7 @@ fn service_slice<S: LineService + ?Sized>(service: &S, conn: &mut Conn) -> Slice
             }
         }
         if conn.acc.len() as u64 > MAX_LINE_BYTES {
-            let _ = send_locked(
-                &conn.writer,
-                &format!(
-                    r#"{{"ok":false,"error":"request line longer than {MAX_LINE_BYTES} bytes"}}"#
-                ),
-            );
+            let _ = send_locked(&conn.writer, &line_too_long_reply());
             return Slice::Closed;
         }
         match conn.stream.read(&mut buf) {
@@ -412,12 +411,7 @@ fn serve_conn_line<S: LineService + ?Sized>(
 ) -> io::Result<()> {
     let line = match String::from_utf8(raw) {
         Ok(line) => line,
-        Err(_) => {
-            return send_locked(
-                &conn.writer,
-                r#"{"ok":false,"error":"request line is not valid UTF-8"}"#,
-            );
-        }
+        Err(_) => return send_locked(&conn.writer, NOT_UTF8_REPLY),
     };
     if line.trim().is_empty() {
         return Ok(());
@@ -467,75 +461,11 @@ fn send_locked(writer: &Mutex<TcpStream>, line: &str) -> io::Result<()> {
     out.flush()
 }
 
-/// Serves a single TCP connection as a **duplex** session: request
-/// lines are answered in order, and any subscription registered through
-/// the connection's [`PushSession`] delivers its pushed frames on the
-/// same stream, interleaved between (never inside) response lines. A
-/// dedicated notifier thread drains the session's bounded frame queue;
-/// when the client disconnects the session closes, which runs every
-/// shard-registered cleanup and drops its subscriptions.
-pub fn handle_connection<S: LineService + ?Sized>(
-    service: &S,
-    stream: TcpStream,
-) -> io::Result<()> {
-    let session = PushSession::new();
-    let reader = BufReader::new(stream.try_clone()?);
-    let writer = Arc::new(Mutex::new(stream));
-    let notifier = {
-        let writer = writer.clone();
-        let session = session.clone();
-        std::thread::Builder::new()
-            .name("ocqa-push".into())
-            .spawn(move || push_notifier_loop(&writer, &session))
-    };
-    let result = serve_duplex(service, reader, &writer, &session);
-    session.close();
-    if let Ok(handle) = notifier {
-        let _ = handle.join();
-    }
-    result
-}
-
-/// The request half of a duplex session: [`serve_session`]'s line
-/// discipline, writing through the mutex the notifier thread shares.
-fn serve_duplex<S: LineService + ?Sized>(
-    service: &S,
-    mut input: impl BufRead,
-    output: &Mutex<TcpStream>,
-    session: &PushSession,
-) -> io::Result<()> {
-    let send = |line: &str| -> io::Result<()> {
-        let mut out = output.lock().unwrap();
-        writeln!(out, "{line}")?;
-        out.flush()
-    };
-    loop {
-        let line = match read_frame(&mut input)? {
-            Frame::Eof => return Ok(()),
-            Frame::TooLong => {
-                send(&format!(
-                    r#"{{"ok":false,"error":"request line longer than {MAX_LINE_BYTES} bytes"}}"#
-                ))?;
-                return Ok(());
-            }
-            Frame::NotUtf8 => {
-                send(r#"{"ok":false,"error":"request line is not valid UTF-8"}"#)?;
-                continue;
-            }
-            Frame::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = service.serve_open_line(line.trim_end(), session);
-        send(&response)?;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
+    use std::io::BufReader;
 
     fn engine() -> Arc<Engine> {
         Engine::new(EngineConfig {

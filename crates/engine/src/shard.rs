@@ -45,6 +45,7 @@ use crate::cache::{AnswerCache, CacheKey, CacheStats};
 use crate::catalog::{Catalog, DatabaseInfo, UpdateOutcome};
 use crate::engine::{generator_by_name, EngineConfig};
 use crate::error::EngineError;
+use crate::image::DbImage;
 use crate::json::Json;
 use crate::obs::{HistSnapshot, MetricsSnapshot, Op, ShardMetrics, SlowLog, Stage, PLANS};
 use crate::planner::{CostModel, PlanKind, PlannerMode, FEEDBACK_JOURNAL_EVERY};
@@ -52,9 +53,8 @@ use crate::pool::SamplerPool;
 use crate::prepared::{PreparedQuery, PreparedRegistry};
 use crate::proto::{AnswerPayload, AnswerRow, ExplainPayload, QueryRef};
 use crate::singleflight::{Join, SingleFlight};
-use crate::storage::{FeedbackImage, HotKey, InstallImage, PlanFeedback, StorageBackend};
+use crate::storage::{FeedbackImage, HotKey, PlanFeedback, StorageBackend};
 use crate::subscribe::{self, PushOutcome, PushSession, Subscription, SubscriptionRegistry};
-use crate::transfer::TransferImage;
 use ocqa_core::sample::{sample_size, SampleTally};
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
@@ -181,8 +181,8 @@ impl ShardEngine {
     ) -> Result<Arc<ShardEngine>, EngineError> {
         let state = backend.recover()?;
         let mut catalog = Catalog::new();
-        for db in state.databases {
-            catalog.restore(db)?;
+        for image in state.databases {
+            catalog.restore(image, |_| Ok(()))?;
         }
         catalog.raise_version_floor(state.next_version);
         let mut prepared = PreparedRegistry::new();
@@ -257,63 +257,51 @@ impl ShardEngine {
         let t0 = Instant::now();
         let parsed = crate::catalog::ParsedDatabase::parse(facts, constraints)?;
         let wal = Cell::new(Duration::ZERO);
-        let info = self.catalog.write().install_with(name, parsed, |image| {
-            let t = Instant::now();
-            let out = self.backend.journal_install(image);
-            wal.set(t.elapsed());
-            self.metrics.record_stage(Stage::WalAppend, wal.get());
-            out
-        })?;
+        let info = self
+            .catalog
+            .write()
+            .install_with(name, parsed, |image| self.journal_install(image, &wal))?;
         self.observe_mutation(t0, Op::Install, name, wal.get());
         Ok(info)
     }
 
-    /// Exports a database as a snapshot [`TransferImage`] (the payload of
-    /// the `fetch_snapshot` protocol op): name, exact catalog version,
+    /// Journals an install, timing the append into `wal` and the
+    /// `wal_append` stage histogram.
+    fn journal_install(&self, image: &DbImage, wal: &Cell<Duration>) -> Result<(), EngineError> {
+        let t = Instant::now();
+        let out = self.backend.journal_install(image);
+        wal.set(t.elapsed());
+        self.metrics.record_stage(Stage::WalAppend, wal.get());
+        out
+    }
+
+    /// A copy of a database's [`DbImage`] (the payload of the
+    /// `fetch_snapshot` protocol op): name, exact catalog version,
     /// constraint text, plan classification, facts and maintained
     /// violation set — everything the receiving shard needs to answer
     /// bit-identically without recomputing anything.
-    pub fn export_snapshot(&self, name: &str) -> Result<TransferImage, EngineError> {
+    pub fn export_snapshot(&self, name: &str) -> Result<DbImage, EngineError> {
         self.catalog.read().export(name)
     }
 
-    /// Installs a snapshot [`TransferImage`] shipped from another shard
-    /// (the `install_snapshot` protocol op). Journal-before-apply like
-    /// every other mutation; the image's version is restored verbatim so
-    /// answer-cache keys and reported `db_version`s match the exporting
-    /// shard exactly. Refused when the name already exists: the
-    /// rebalancer moves **then** drops, so the target legitimately never
-    /// has the database — an existing entry means a half-finished move,
-    /// which must stay a hard error, never a silent overwrite.
-    pub fn install_snapshot(&self, img: TransferImage) -> Result<DatabaseInfo, EngineError> {
+    /// Installs a [`DbImage`] shipped from another shard (the
+    /// `install_snapshot` protocol op) — the same verbatim install
+    /// recovery performs, journaled first like every other mutation; the
+    /// image's version is kept so answer-cache keys and reported
+    /// `db_version`s match the exporting shard exactly. Refused when the
+    /// name already exists: the rebalancer moves **then** drops, so the
+    /// target legitimately never has the database — an existing entry
+    /// means a half-finished move, which must stay a hard error, never a
+    /// silent overwrite. A vetoed journal leaves the shard without the
+    /// database and the move can be retried from the source.
+    pub fn install_snapshot(&self, image: DbImage) -> Result<DatabaseInfo, EngineError> {
         let t0 = Instant::now();
-        let mut catalog = self.catalog.write();
-        if catalog.info(&img.name).is_ok() {
-            return Err(EngineError::DatabaseExists(img.name));
-        }
-        // Journal-then-mutate: a vetoed install leaves the shard without
-        // the database and the move can be retried from the source.
-        let t = Instant::now();
-        self.backend.journal_install(&InstallImage {
-            name: &img.name,
-            version: img.version,
-            db: &img.db,
-            constraints: &img.constraints,
-            plan: img.plan,
-            violations: &img.violations,
-        })?;
-        let wal = t.elapsed();
-        self.metrics.record_stage(Stage::WalAppend, wal);
-        let info = catalog.restore(crate::storage::RestoredDatabase {
-            name: img.name,
-            version: img.version,
-            db: img.db,
-            constraints: img.constraints,
-            plan: img.plan,
-            violations: img.violations,
-        })?;
-        drop(catalog);
-        self.observe_mutation(t0, Op::Install, &info.name, wal);
+        let wal = Cell::new(Duration::ZERO);
+        let info = self
+            .catalog
+            .write()
+            .restore(image, |image| self.journal_install(image, &wal))?;
+        self.observe_mutation(t0, Op::Install, &info.name, wal.get());
         Ok(info)
     }
 

@@ -7,10 +7,10 @@
 //! applied in memory — a backend that fails the journal call vetoes the
 //! mutation, so the durable log can never lag the served state. At
 //! startup [`StorageBackend::recover`] returns the whole persisted world:
-//! databases with their versions, constraint text, maintained violation
-//! sets and planner classifications, plus the prepared-query texts in
-//! their original preparation order (handle ids are ordinal, so replaying
-//! the texts in order reproduces the exact pre-restart handles).
+//! one [`DbImage`] per database (the same value `journal_install` was
+//! handed, advanced by the journaled updates), plus the prepared-query
+//! texts in their original preparation order (handle ids are ordinal, so
+//! replaying the texts in order reproduces the exact pre-restart handles).
 //!
 //! Two implementations exist:
 //!
@@ -33,29 +33,9 @@
 //! by pointing it at the directory.
 
 use crate::error::EngineError;
+use crate::image::DbImage;
 use crate::planner::{Estimate, PlanKind};
-use ocqa_data::{Database, Fact};
-use ocqa_logic::ViolationSet;
-
-/// Everything a backend needs to journal a database install durably. The
-/// borrows point into the already-validated [`crate::ParsedDatabase`], so
-/// journaling never re-parses or re-validates.
-pub struct InstallImage<'a> {
-    /// Catalog name.
-    pub name: &'a str,
-    /// The version the install will commit at.
-    pub version: u64,
-    /// The full database (schema + facts).
-    pub db: &'a Database,
-    /// The constraint source text, re-parseable on recovery.
-    pub constraints: &'a str,
-    /// The structural planner classification, recorded so recovery
-    /// restores it without re-deriving.
-    pub plan: PlanKind,
-    /// The computed violation set `V(D, Σ)`, recorded so recovery never
-    /// pays the `O(|D|^{|body|})` recomputation.
-    pub violations: &'a ViolationSet,
-}
+use ocqa_data::Fact;
 
 /// The net effect of an update batch, offered to the backend before the
 /// catalog commits it. `inserted`/`removed` are the **netted** lists (the
@@ -70,24 +50,6 @@ pub struct UpdateDelta<'a> {
     pub inserted: &'a [Fact],
     /// Facts present before and absent after.
     pub removed: &'a [Fact],
-}
-
-/// One database as reconstructed by [`StorageBackend::recover`].
-pub struct RestoredDatabase {
-    /// Catalog name.
-    pub name: String,
-    /// The version the database last committed at — restored verbatim so
-    /// answer-cache keys and reported `db_version`s match the pre-restart
-    /// engine.
-    pub version: u64,
-    /// The database (schema + facts).
-    pub db: Database,
-    /// Constraint source text (parsed once during restore).
-    pub constraints: String,
-    /// The recorded planner classification.
-    pub plan: PlanKind,
-    /// The maintained violation set at `version`.
-    pub violations: ViolationSet,
 }
 
 /// One database's learned per-plan cost estimates, journaled as planner
@@ -142,8 +104,8 @@ pub struct FeedbackImage {
 /// The persisted world handed to a starting engine.
 #[derive(Default)]
 pub struct RecoveredState {
-    /// Databases to restore, in any order.
-    pub databases: Vec<RestoredDatabase>,
+    /// Databases to restore verbatim, in any order.
+    pub databases: Vec<DbImage>,
     /// Live prepared queries as `(handle id, text)` pairs in registry
     /// (FIFO) order. Ids are restored verbatim — after registry-capacity
     /// evictions they are *not* contiguous, so texts alone could not
@@ -179,8 +141,10 @@ pub trait StorageBackend: Send + Sync {
     /// Loads the persisted state at engine startup.
     fn recover(&self) -> Result<RecoveredState, EngineError>;
 
-    /// Journals a database install. Returning an error vetoes it.
-    fn journal_install(&self, image: &InstallImage<'_>) -> Result<(), EngineError>;
+    /// Journals a database install: the image is the already-validated
+    /// state the catalog is about to commit (a fresh `create_db` or a
+    /// shipped snapshot alike). Returning an error vetoes it.
+    fn journal_install(&self, image: &DbImage) -> Result<(), EngineError>;
 
     /// Journals an effective update batch. Returning an error vetoes it.
     fn journal_update(&self, delta: &UpdateDelta<'_>) -> Result<(), EngineError>;
@@ -227,7 +191,7 @@ impl StorageBackend for MemoryBackend {
         Ok(RecoveredState::empty())
     }
 
-    fn journal_install(&self, _image: &InstallImage<'_>) -> Result<(), EngineError> {
+    fn journal_install(&self, _image: &DbImage) -> Result<(), EngineError> {
         Ok(())
     }
 

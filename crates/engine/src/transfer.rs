@@ -1,199 +1,38 @@
-//! The snapshot **transfer image**: one database's full durable state as
-//! a self-contained, checksummed, base64-encoded blob — the payload of
-//! the `fetch_snapshot` / `install_snapshot` protocol legs the
-//! rebalancer ships between shards.
+//! The snapshot **transfer image**: a [`DbImage`] as a self-contained,
+//! checksummed, base64-encoded string — the payload of the
+//! `fetch_snapshot` / `install_snapshot` protocol legs the rebalancer
+//! ships between shards.
 //!
-//! The binary layout mirrors the `ocqa-store` snapshot wire format
-//! (`magic | u16 format-version | u32 crc32 | payload`, payload built
-//! from the `ocqa_data::codec` primitives) but under its own magic
-//! (`OCQT`): a transfer image travels *inside a JSON protocol line*, not
-//! as a file, and must never be mistaken for an on-disk snapshot a store
-//! would open. Base64 keeps the blob JSON-string-safe; the CRC rejects
-//! any corruption the transport let through before a single byte reaches
-//! the receiving catalog.
-//!
-//! Everything an exact re-install needs is carried: name, catalog
-//! **version** (so answer-cache keys and reported `db_version`s match
-//! the pre-move shard bit-for-bit), constraint source text, planner
-//! classification, the codec-encoded database and the maintained
-//! violation set (so the receiving shard never pays the
-//! `O(|D|^{|body|})` recomputation).
+//! The bytes under the base64 are `codec::frame` around the one image
+//! payload ([`crate::image`]), exactly like an `ocqa-store` snapshot
+//! file but under their own magic (`OCQT`): a transfer image travels
+//! *inside a JSON protocol line*, not as a file, and must never be
+//! mistaken for an on-disk snapshot a store would open. Base64 keeps the
+//! blob JSON-string-safe; the CRC rejects any corruption the transport
+//! let through before a single byte reaches the receiving catalog.
 
 use crate::error::EngineError;
-use crate::planner::PlanKind;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ocqa_data::{codec, Database};
-use ocqa_logic::{Bindings, Var, Violation, ViolationSet};
+use crate::image::{self, DbImage};
 
 /// Transfer-image frame magic (distinct from the store's `OCQS`).
 const MAGIC: &[u8; 4] = b"OCQT";
 /// Transfer format version.
 const FORMAT_VERSION: u16 = 1;
 
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// One database's full transferable state — what `fetch_snapshot`
-/// exports and `install_snapshot` re-installs verbatim.
-#[derive(Debug)]
-pub struct TransferImage {
-    /// Catalog name.
-    pub name: String,
-    /// Catalog version at export time, preserved exactly on install.
-    pub version: u64,
-    /// Recorded planner classification.
-    pub plan: PlanKind,
-    /// Constraint source text.
-    pub constraints: String,
-    /// The database (schema + facts).
-    pub db: Database,
-    /// The maintained violation set at `version`.
-    pub violations: ViolationSet,
-}
-
-fn plan_tag(plan: PlanKind) -> u8 {
-    match plan {
-        PlanKind::KeyRepair => 0,
-        PlanKind::Localized => 1,
-        PlanKind::Monolithic => 2,
-    }
-}
-
-fn plan_from_tag(tag: u8) -> Result<PlanKind, EngineError> {
-    match tag {
-        0 => Ok(PlanKind::KeyRepair),
-        1 => Ok(PlanKind::Localized),
-        2 => Ok(PlanKind::Monolithic),
-        other => Err(corrupt(format!("unknown plan tag {other:#x}"))),
-    }
-}
-
-fn corrupt(msg: String) -> EngineError {
+fn corrupt(msg: impl std::fmt::Display) -> EngineError {
     EngineError::BadRequest(format!("transfer image: {msg}"))
 }
 
-fn put_violations(buf: &mut BytesMut, violations: &ViolationSet) {
-    codec::put_varint(buf, violations.len() as u64);
-    for v in violations.iter() {
-        codec::put_varint(buf, u64::from(v.constraint));
-        let hom: Vec<_> = v.hom.iter().collect();
-        codec::put_varint(buf, hom.len() as u64);
-        for (var, c) in hom {
-            codec::put_name(buf, var.name().as_str());
-            codec::put_constant(buf, c);
-        }
-    }
-}
-
-fn get_violations(buf: &mut Bytes) -> Result<ViolationSet, EngineError> {
-    let count = codec::get_varint(buf).map_err(|e| corrupt(e.to_string()))?;
-    let mut set = ViolationSet::empty();
-    for _ in 0..count {
-        let constraint = codec::get_varint(buf).map_err(|e| corrupt(e.to_string()))? as u32;
-        let nbind = codec::get_varint(buf).map_err(|e| corrupt(e.to_string()))?;
-        let mut pairs = Vec::with_capacity(nbind as usize);
-        for _ in 0..nbind {
-            let var = Var::named(&codec::get_name(buf).map_err(|e| corrupt(e.to_string()))?);
-            let c = codec::get_constant(buf).map_err(|e| corrupt(e.to_string()))?;
-            pairs.push((var, c));
-        }
-        set.insert(Violation {
-            constraint,
-            hom: Bindings::from_pairs(pairs),
-        });
-    }
-    Ok(set)
-}
-
-/// Encodes a transfer image as a base64 string, ready to embed in a
+/// Encodes an image as a base64 string, ready to embed in a
 /// `fetch_snapshot` response or `install_snapshot` request.
-pub fn encode_image(img: &TransferImage) -> String {
-    let mut buf = BytesMut::new();
-    codec::put_name(&mut buf, &img.name);
-    codec::put_varint(&mut buf, img.version);
-    buf.put_u8(plan_tag(img.plan));
-    codec::put_name(&mut buf, &img.constraints);
-    let db_bytes = codec::encode_database(&img.db);
-    codec::put_varint(&mut buf, db_bytes.len() as u64);
-    buf.put_slice(&db_bytes);
-    put_violations(&mut buf, &img.violations);
-    let payload = buf.freeze();
-    let mut framed = Vec::with_capacity(payload.len() + 10);
-    framed.extend_from_slice(MAGIC);
-    framed.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-    framed.extend_from_slice(&payload);
-    base64_encode(&framed)
+pub fn encode_image(img: &DbImage) -> String {
+    base64_encode(&image::encode_framed(MAGIC, FORMAT_VERSION, img))
 }
 
 /// Decodes a base64 transfer image, rejecting any frame, checksum or
 /// payload corruption whole.
-pub fn decode_image(text: &str) -> Result<TransferImage, EngineError> {
-    let data = base64_decode(text)?;
-    if data.len() < 10 || &data[..4] != MAGIC {
-        return Err(corrupt("bad magic".into()));
-    }
-    let version = u16::from_le_bytes([data[4], data[5]]);
-    if version != FORMAT_VERSION {
-        return Err(corrupt(format!("unsupported format version {version}")));
-    }
-    let crc = u32::from_le_bytes([data[6], data[7], data[8], data[9]]);
-    let payload = &data[10..];
-    if crc32(payload) != crc {
-        return Err(corrupt("checksum mismatch".into()));
-    }
-    let mut buf = Bytes::copy_from_slice(payload);
-    let name = codec::get_name(&mut buf).map_err(|e| corrupt(e.to_string()))?;
-    let db_version = codec::get_varint(&mut buf).map_err(|e| corrupt(e.to_string()))?;
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated before plan tag".into()));
-    }
-    let plan = plan_from_tag(buf.get_u8())?;
-    let constraints = codec::get_name(&mut buf).map_err(|e| corrupt(e.to_string()))?;
-    let db_len = codec::get_varint(&mut buf).map_err(|e| corrupt(e.to_string()))? as usize;
-    if buf.remaining() < db_len {
-        return Err(corrupt("truncated database payload".into()));
-    }
-    let db_bytes = buf.copy_to_bytes(db_len);
-    let db = codec::decode_database(&db_bytes).map_err(|e| corrupt(e.to_string()))?;
-    let violations = get_violations(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(TransferImage {
-        name,
-        version: db_version,
-        plan,
-        constraints,
-        db,
-        violations,
-    })
+pub fn decode_image(text: &str) -> Result<DbImage, EngineError> {
+    image::decode_framed(MAGIC, FORMAT_VERSION, &base64_decode(text)?).map_err(corrupt)
 }
 
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -234,16 +73,12 @@ fn base64_decode(text: &str) -> Result<Vec<u8>, EngineError> {
             b'0'..=b'9' => Ok(u32::from(c - b'0') + 52),
             b'+' => Ok(62),
             b'/' => Ok(63),
-            other => Err(EngineError::BadRequest(format!(
-                "transfer image: invalid base64 byte {other:#x}"
-            ))),
+            other => Err(corrupt(format_args!("invalid base64 byte {other:#x}"))),
         }
     }
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(4) {
-        return Err(EngineError::BadRequest(
-            "transfer image: base64 length not a multiple of 4".into(),
-        ));
+        return Err(corrupt("base64 length not a multiple of 4"));
     }
     let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
     for (i, chunk) in bytes.chunks(4).enumerate() {
@@ -254,9 +89,7 @@ fn base64_decode(text: &str) -> Result<Vec<u8>, EngineError> {
             0
         };
         if pad > 2 {
-            return Err(EngineError::BadRequest(
-                "transfer image: malformed base64 padding".into(),
-            ));
+            return Err(corrupt("malformed base64 padding"));
         }
         let mut n = 0u32;
         for (j, &c) in chunk.iter().enumerate() {
@@ -277,24 +110,6 @@ fn base64_decode(text: &str) -> Result<Vec<u8>, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocqa_logic::parser;
-
-    fn sample(name: &str, version: u64) -> TransferImage {
-        let constraints = "R(x,y), R(x,z) -> y = z.";
-        let facts = parser::parse_facts("R(1,10). R(1,20). R(2,30).").unwrap();
-        let sigma = parser::parse_constraints(constraints).unwrap();
-        let schema = parser::infer_schema(&facts, &sigma).unwrap();
-        let db = Database::from_facts(schema, facts).unwrap();
-        let violations = ViolationSet::compute(&sigma, &db);
-        TransferImage {
-            name: name.into(),
-            version,
-            plan: PlanKind::KeyRepair,
-            constraints: constraints.into(),
-            db,
-            violations,
-        }
-    }
 
     #[test]
     fn base64_roundtrips_all_tail_lengths() {
@@ -310,27 +125,61 @@ mod tests {
     }
 
     #[test]
-    fn image_roundtrip_preserves_everything() {
-        let img = sample("kv", 9);
-        let decoded = decode_image(&encode_image(&img)).unwrap();
-        assert_eq!(decoded.name, "kv");
-        assert_eq!(decoded.version, 9);
-        assert_eq!(decoded.plan, PlanKind::KeyRepair);
-        assert_eq!(decoded.constraints, img.constraints);
-        assert!(decoded.db.same_facts(&img.db));
-        assert_eq!(decoded.violations, img.violations);
-    }
-
-    #[test]
-    fn image_corruption_rejected() {
-        let enc = encode_image(&sample("kv", 9));
-        // Flip one payload character (staying in the base64 alphabet).
-        let mid = enc.len() / 2;
-        let mut chars: Vec<char> = enc.chars().collect();
-        chars[mid] = if chars[mid] == 'A' { 'B' } else { 'A' };
-        let tampered: String = chars.into_iter().collect();
+    fn image_string_roundtrips_and_rejects_tampering() {
+        let engine = crate::Engine::new(crate::EngineConfig::default());
+        let created = engine.handle_line(
+            r#"{"op":"create_db","name":"kv","facts":"R(1,10). R(1,20).","constraints":"R(x,y), R(x,z) -> y = z."}"#,
+        );
+        assert!(created.to_string().contains("\"ok\":true"), "{created}");
+        let reply = engine.handle_line(r#"{"op":"fetch_snapshot","db":"kv"}"#);
+        let text = reply.get("image").and_then(|j| j.as_str()).unwrap();
+        let img = decode_image(text).unwrap();
+        assert_eq!((img.name.as_str(), img.version), ("kv", 1));
+        assert_eq!(encode_image(&img), text);
+        // One flipped character, still inside the base64 alphabet.
+        let mid = text.len() / 2;
+        let flipped = if &text[mid..=mid] == "A" { "B" } else { "A" };
+        let tampered = format!("{}{flipped}{}", &text[..mid], &text[mid + 1..]);
         assert!(decode_image(&tampered).is_err());
         assert!(decode_image("QUJD").is_err(), "bad magic rejected");
         assert!(decode_image("").is_err());
+    }
+
+    /// The bug report's payload, delivered the way any client can: a
+    /// 17-byte database whose one row count claims 2^44 rows, inside an
+    /// image whose checksum is *correct* (the sender computes it). Sizing
+    /// an allocation by that count aborts the process — an allocation
+    /// failure is not a panic, so no `catch_unwind` survives it.
+    #[test]
+    fn hostile_install_snapshot_gets_an_error_reply() {
+        use bytes::{BufMut, BytesMut};
+        use ocqa_data::codec;
+        let mut db = BytesMut::new();
+        db.put_slice(b"OCQA");
+        db.put_u16_le(1);
+        codec::put_varint(&mut db, 1); // one relation
+        codec::put_name(&mut db, "R");
+        codec::put_varint(&mut db, 1); // of arity 1
+        codec::put_varint(&mut db, 1 << 44); // with 2^44 rows
+        let mut payload = BytesMut::new();
+        codec::put_name(&mut payload, "evil");
+        codec::put_varint(&mut payload, 1);
+        payload.put_u8(0);
+        codec::put_name(&mut payload, "");
+        codec::put_varint(&mut payload, db.len() as u64);
+        payload.put_slice(&db);
+        codec::put_varint(&mut payload, 0); // no violations
+        let image = base64_encode(&codec::frame(MAGIC, FORMAT_VERSION, &payload));
+
+        let engine = crate::Engine::new(crate::EngineConfig::default());
+        let reply = engine
+            .handle_line(&format!(
+                r#"{{"op":"install_snapshot","db":"evil","image":"{image}"}}"#
+            ))
+            .to_string();
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains("transfer image"), "{reply}");
+        let list = engine.handle_line(r#"{"op":"list"}"#).to_string();
+        assert!(!list.contains("evil"), "{list}");
     }
 }

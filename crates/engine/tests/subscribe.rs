@@ -417,27 +417,42 @@ fn stdio_sessions_reject_subscribe() {
 
 #[test]
 fn upstream_death_synthesizes_the_closed_frame() {
-    // A real single-shard engine behind an accept loop that remembers
-    // every connection, so the test can sever them all — the in-process
-    // stand-in for `kill -9` on the upstream.
+    // A real single-shard engine behind the pooled listener, reached
+    // through a byte relay that remembers every connection, so the test
+    // can sever them all — the in-process stand-in for `kill -9` on the
+    // upstream.
     let engine = Engine::new(EngineConfig {
         workers: 1,
         cache_capacity: 16,
         ..EngineConfig::default()
     });
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
+    let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+    let upstream_addr = upstream.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let _ = ocqa_engine::serve_listener(engine, upstream);
+    });
+    let relay = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = relay.local_addr().unwrap().to_string();
     let conns: Arc<std::sync::Mutex<Vec<TcpStream>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
     {
         let conns = conns.clone();
         std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { return };
-                conns.lock().unwrap().push(stream.try_clone().unwrap());
-                let engine = engine.clone();
-                std::thread::spawn(move || {
-                    let _ = ocqa_engine::handle_connection(&*engine, stream);
-                });
+            for conn in relay.incoming() {
+                let Ok(client) = conn else { return };
+                let Ok(server) = TcpStream::connect(upstream_addr) else {
+                    return;
+                };
+                let pipes = [
+                    (client.try_clone().unwrap(), server.try_clone().unwrap()),
+                    (server.try_clone().unwrap(), client.try_clone().unwrap()),
+                ];
+                conns.lock().unwrap().extend([client, server]);
+                for (mut from, mut to) in pipes {
+                    std::thread::spawn(move || {
+                        let _ = std::io::copy(&mut from, &mut to);
+                        let _ = to.shutdown(std::net::Shutdown::Both);
+                    });
+                }
             }
         });
     }

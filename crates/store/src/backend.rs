@@ -4,10 +4,8 @@
 use crate::error::StoreError;
 use crate::store::{Store, StoreOptions};
 use crate::wal::WalRecord;
-use crate::wire::DbImage;
 use ocqa_engine::{
-    EngineError, FeedbackImage, HistSnapshot, InstallImage, RecoveredState, RestoredDatabase,
-    StorageBackend, UpdateDelta,
+    DbImage, EngineError, FeedbackImage, HistSnapshot, RecoveredState, StorageBackend, UpdateDelta,
 };
 use parking_lot::Mutex;
 use std::path::Path;
@@ -71,8 +69,11 @@ impl DiskBackend {
     }
 
     fn journal(&self, record: &WalRecord) -> Result<(), EngineError> {
-        let crossed = self.store.append(record).map_err(EngineError::from)?;
-        if crossed {
+        self.journal_encoded(&record.encode())
+    }
+
+    fn journal_encoded(&self, payload: &[u8]) -> Result<(), EngineError> {
+        if self.store.append_encoded(payload)? {
             if let Some(tx) = self.compact_tx.lock().as_ref() {
                 let _ = tx.send(());
             }
@@ -98,36 +99,11 @@ impl StorageBackend for DiskBackend {
     }
 
     fn recover(&self) -> Result<RecoveredState, EngineError> {
-        let state = self.store.read_state().map_err(EngineError::from)?;
-        Ok(RecoveredState {
-            databases: state
-                .databases
-                .into_iter()
-                .map(|img| RestoredDatabase {
-                    name: img.name,
-                    version: img.version,
-                    db: img.db,
-                    constraints: img.constraints,
-                    plan: img.plan,
-                    violations: img.violations,
-                })
-                .collect(),
-            prepared: state.prepared,
-            prepared_next: state.prepared_next,
-            next_version: state.next_version,
-            feedback: state.feedback,
-        })
+        Ok(self.store.read_state()?)
     }
 
-    fn journal_install(&self, image: &InstallImage<'_>) -> Result<(), EngineError> {
-        self.journal(&WalRecord::Install(DbImage {
-            name: image.name.to_string(),
-            version: image.version,
-            plan: image.plan,
-            constraints: image.constraints.to_string(),
-            db: image.db.clone(),
-            violations: image.violations.clone(),
-        }))
+    fn journal_install(&self, image: &DbImage) -> Result<(), EngineError> {
+        self.journal_encoded(&WalRecord::encode_install(image))
     }
 
     fn journal_update(&self, delta: &UpdateDelta<'_>) -> Result<(), EngineError> {

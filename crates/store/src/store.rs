@@ -6,7 +6,7 @@
 //!   wal.log             active write-ahead log
 //!   wal.old             rotated log, exists only while a compaction runs
 //!   snapshots/
-//!     db-<version>-<i>.snap   one `DbImage` per live database
+//!     db-<version>-<i>.snap   one database image per live database
 //! ```
 //!
 //! **Recovery** composes, in order: the manifest's snapshots, then
@@ -32,8 +32,8 @@
 
 use crate::error::StoreError;
 use crate::wal::{self, WalRecord, WalWriter};
-use crate::wire::{self, DbImage, Manifest};
-use ocqa_engine::{FeedbackImage, HistSnapshot, Histogram};
+use crate::wire::{self, Manifest};
+use ocqa_engine::{DbImage, FeedbackImage, HistSnapshot, Histogram, RecoveredState};
 use ocqa_logic::{incremental, parser, ConstraintSet};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -67,22 +67,6 @@ impl Default for StoreOptions {
             group_commit_us: 0,
         }
     }
-}
-
-/// The recovered world, before conversion to engine types.
-pub struct StoreState {
-    /// Live databases with maintained violation sets, sorted by name.
-    pub databases: Vec<DbImage>,
-    /// Live prepared queries as `(handle id, text)` pairs in registry
-    /// (FIFO) order.
-    pub prepared: Vec<(String, String)>,
-    /// The prepared-handle counter (highest ordinal ever allocated).
-    pub prepared_next: u64,
-    /// Version-counter floor (max version ever seen, drops included).
-    pub next_version: u64,
-    /// The last journaled planner-feedback image, pruned to live
-    /// databases.
-    pub feedback: FeedbackImage,
 }
 
 /// What a compaction did, for operator-facing reporting (`ocqa snapshot`).
@@ -227,14 +211,19 @@ impl Store {
     /// caller's acknowledgement still implies durability — `kill -9`
     /// mid-batch can lose *unacknowledged* appends only.
     pub fn append(&self, record: &WalRecord) -> Result<bool, StoreError> {
-        if self.opts.group_commit_us == 0 {
-            let mut wal = self.wal.lock();
-            wal.append(record)?;
-            return Ok(wal.bytes() >= self.opts.compact_wal_bytes);
-        }
+        self.append_encoded(&record.encode())
+    }
+
+    /// [`append`](Store::append) for an already-encoded record payload
+    /// (see [`WalRecord::encode_install`]).
+    pub fn append_encoded(&self, payload: &[u8]) -> Result<bool, StoreError> {
         let (my_seq, crossed) = {
             let mut wal = self.wal.lock();
-            wal.append_unsynced(record)?;
+            wal.append_unsynced(payload)?;
+            if self.opts.group_commit_us == 0 {
+                wal.sync()?;
+                return Ok(wal.bytes() >= self.opts.compact_wal_bytes);
+            }
             (wal.seq(), wal.bytes() >= self.opts.compact_wal_bytes)
         };
         self.commit
@@ -338,7 +327,7 @@ impl Store {
 
     /// Recovers the full state: manifest snapshots + `wal.old` +
     /// `wal.log`.
-    pub fn read_state(&self) -> Result<StoreState, StoreError> {
+    pub fn read_state(&self) -> Result<RecoveredState, StoreError> {
         let mut replay = Replay::from_manifest(self, &self.read_manifest()?)?;
         for path in [self.wal_old_path(), self.wal_path()] {
             for record in wal::scan(&path)?.records {
@@ -406,31 +395,6 @@ impl Store {
             }
         }
         Ok(summary)
-    }
-
-    /// Exports one live database as a framed, checksummed snapshot blob
-    /// (the same encoding compaction writes to `snapshots/`) — the
-    /// store-level leg of a rebalance move, usable offline against a
-    /// shard's data directory.
-    pub fn snapshot_export(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        let state = self.read_state()?;
-        let img = state
-            .databases
-            .iter()
-            .find(|img| img.name == name)
-            .ok_or_else(|| StoreError::Corrupt(format!("no database {name:?} in this store")))?;
-        Ok(wire::encode_snapshot(img))
-    }
-
-    /// Imports a [`snapshot_export`](Store::snapshot_export) blob by
-    /// journaling it as an install, preserving its version exactly.
-    /// Refused (at replay, as a hard corruption error) if the name is
-    /// already live at a lower version — a half-finished move must be
-    /// resolved by an explicit drop, never silently merged.
-    pub fn snapshot_import(&self, data: &[u8]) -> Result<(), StoreError> {
-        let img = wire::decode_snapshot(data)?;
-        self.append(&WalRecord::Install(img))?;
-        Ok(())
     }
 
     /// Runs one full compaction: rotate the active log, fold it into the
@@ -614,7 +578,7 @@ impl Replay {
         }
     }
 
-    fn into_state(mut self) -> StoreState {
+    fn into_state(mut self) -> RecoveredState {
         // Prune feedback for databases that are no longer live: a name
         // dropped after the last feedback record must not seed estimates
         // onto a future namesake holding different data.
@@ -624,7 +588,7 @@ impl Replay {
         self.feedback
             .hot_keys
             .retain(|k| self.databases.contains_key(&k.db));
-        StoreState {
+        RecoveredState {
             next_version: self.max_version,
             databases: self.databases.into_values().map(|(img, _)| img).collect(),
             prepared: self.prepared,

@@ -17,10 +17,11 @@
 //! crash sits before the torn one, so nothing acknowledged is ever lost.
 
 use crate::error::StoreError;
-use crate::wire::{self, DbImage};
+use crate::wire;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ocqa_data::codec;
 use ocqa_data::Fact;
+use ocqa_engine::image::{self, DbImage};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -65,8 +66,8 @@ pub enum WalRecord {
 
 /// Hard cap on one record's payload: the frame header stores the length
 /// as a `u32`, so anything larger would silently wrap and corrupt the
-/// log. [`WalWriter::append`] rejects oversized records up front — the
-/// journal call fails and vetoes the mutation instead.
+/// log. [`WalWriter::append_unsynced`] rejects oversized records up
+/// front — the journal call fails and vetoes the mutation instead.
 pub const MAX_RECORD_PAYLOAD: u64 = u32::MAX as u64;
 
 const TAG_INSTALL: u8 = 1;
@@ -76,14 +77,21 @@ const TAG_PREPARE: u8 = 4;
 const TAG_FEEDBACK: u8 = 5;
 
 impl WalRecord {
+    /// The payload of an [`Install`](WalRecord::Install) record, encoded
+    /// straight from a borrowed image — journaling an install never
+    /// copies the database to build a record around it.
+    pub fn encode_install(img: &DbImage) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_INSTALL);
+        image::put_image(&mut buf, img);
+        buf.freeze()
+    }
+
     /// Serializes the record payload (unframed).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         match self {
-            WalRecord::Install(img) => {
-                buf.put_u8(TAG_INSTALL);
-                wire::put_image(&mut buf, img);
-            }
+            WalRecord::Install(img) => return WalRecord::encode_install(img),
             WalRecord::Update {
                 db,
                 version,
@@ -122,14 +130,11 @@ impl WalRecord {
             return Err(StoreError::Corrupt("empty WAL record".into()));
         }
         let record = match buf.get_u8() {
-            TAG_INSTALL => WalRecord::Install(wire::get_image(&mut buf)?),
+            TAG_INSTALL => WalRecord::Install(image::get_image(&mut buf)?),
             TAG_UPDATE => {
                 let db = codec::get_name(&mut buf)?;
                 let version = codec::get_varint(&mut buf)?;
-                let len = codec::get_varint(&mut buf)? as usize;
-                if buf.remaining() < len {
-                    return Err(StoreError::Codec(codec::CodecError::UnexpectedEof));
-                }
+                let len = codec::get_count(&mut buf)?;
                 let delta = buf.copy_to_bytes(len);
                 let (added, removed) = codec::decode_delta(&delta)?;
                 WalRecord::Update {
@@ -192,7 +197,7 @@ pub fn scan(path: &Path) -> Result<WalScan, StoreError> {
             break; // torn payload
         }
         let payload = &data[start..start + len];
-        if wire::crc32(payload) != crc {
+        if codec::crc32(payload) != crc {
             break; // torn or corrupt: discard from here
         }
         // A checksummed payload that fails to *decode* is a format bug or
@@ -253,30 +258,23 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Appends one record durably (write + flush + `fsync`). A payload
+    /// Appends one encoded record payload ([`WalRecord::encode`]) to the
+    /// OS (write + flush) **without** forcing it to stable storage: the
+    /// caller follows with [`sync`](Self::sync) — per append, or once
+    /// per group-commit batch — and must not acknowledge the record
+    /// until a sync at/after its [`seq`](Self::seq) completes. A payload
     /// above [`MAX_RECORD_PAYLOAD`] is rejected before any byte is
     /// written — the `u32` length field would wrap and corrupt the log,
     /// losing every acknowledged record behind the bad frame on the next
     /// recovery.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
-        self.append_unsynced(record)?;
-        self.sync()
-    }
-
-    /// Appends one record to the OS (write + flush) **without** forcing
-    /// it to stable storage. The group-commit path batches several of
-    /// these under one [`sync`](Self::sync); callers must not
-    /// acknowledge the record until a sync at/after its
-    /// [`seq`](Self::seq) completes.
-    pub fn append_unsynced(&mut self, record: &WalRecord) -> Result<(), StoreError> {
-        let payload = record.encode();
+    pub fn append_unsynced(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         if payload.len() as u64 > MAX_RECORD_PAYLOAD {
             return Err(StoreError::TooLarge(payload.len() as u64));
         }
         let mut framed = Vec::with_capacity(payload.len() + 8);
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&wire::crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        framed.extend_from_slice(&codec::crc32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
         self.file.write_all(&framed)?;
         self.file.flush()?;
         self.bytes += framed.len() as u64;

@@ -1,165 +1,25 @@
-//! On-disk wire formats, layered on the `ocqa_data::codec` primitives.
+//! On-disk wire formats, layered on the `ocqa_data::codec` primitives
+//! and the engine's one image codec (`ocqa_engine::image`).
 //!
-//! Three artifacts share the same building blocks (LEB128 varints,
-//! length-prefixed names, tagged constants — see `ocqa_data::codec`):
-//!
-//! * [`DbImage`] — one database's full durable state: name, catalog
-//!   version, planner classification, constraint source text, the
-//!   `codec`-encoded database and the maintained violation set. Snapshot
-//!   files and WAL `install` records both carry a `DbImage`, so snapshot
-//!   writing and journal replay decode through one path.
+//! * snapshot files — one [`DbImage`] each, framed under the `OCQS`
+//!   magic. WAL `install` records carry the same image payload unframed
+//!   (the WAL has its own per-record checksum), so snapshot writing and
+//!   journal replay decode through one path.
 //! * [`Manifest`] — the store's root: the version-counter floor, the
-//!   name → snapshot-file map and the prepared-query texts in handle
-//!   order.
-//! * framed files — snapshot and manifest files are
-//!   `magic | u16 format-version | u32 crc32 | payload`, rejected
-//!   whole on any mismatch (a torn snapshot is useless; unlike the WAL
-//!   there is no valid prefix to salvage — recovery falls back to the
-//!   previous manifest generation, which compaction only deletes after
-//!   the new one is durable).
+//!   name → snapshot-file map, the prepared-query texts in handle order
+//!   and the planner-feedback image, framed under `OCQM`.
+//!
+//! Both files are `codec::frame`s (`magic | u16 format-version |
+//! u32 crc32 | payload`), rejected whole on any mismatch (a torn
+//! snapshot is useless; unlike the WAL there is no valid prefix to
+//! salvage — recovery falls back to the previous manifest generation,
+//! which compaction only deletes after the new one is durable).
 
 use crate::error::StoreError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use ocqa_data::codec;
-use ocqa_data::Database;
-use ocqa_engine::{Estimate, FeedbackImage, HotKey, PlanFeedback, PlanKind};
-use ocqa_logic::{Bindings, Var, Violation, ViolationSet};
-
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data` — the per-record and per-file checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// One database's durable state (see the module docs).
-#[derive(Debug)]
-pub struct DbImage {
-    /// Catalog name.
-    pub name: String,
-    /// Catalog version at capture time.
-    pub version: u64,
-    /// Recorded planner classification.
-    pub plan: PlanKind,
-    /// Constraint source text.
-    pub constraints: String,
-    /// The database (schema + facts).
-    pub db: Database,
-    /// The maintained violation set at `version`.
-    pub violations: ViolationSet,
-}
-
-fn plan_tag(plan: PlanKind) -> u8 {
-    match plan {
-        PlanKind::KeyRepair => 0,
-        PlanKind::Localized => 1,
-        PlanKind::Monolithic => 2,
-    }
-}
-
-fn plan_from_tag(tag: u8) -> Result<PlanKind, StoreError> {
-    match tag {
-        0 => Ok(PlanKind::KeyRepair),
-        1 => Ok(PlanKind::Localized),
-        2 => Ok(PlanKind::Monolithic),
-        other => Err(StoreError::Corrupt(format!("unknown plan tag {other:#x}"))),
-    }
-}
-
-fn put_violations(buf: &mut BytesMut, violations: &ViolationSet) {
-    codec::put_varint(buf, violations.len() as u64);
-    for v in violations.iter() {
-        codec::put_varint(buf, u64::from(v.constraint));
-        let hom: Vec<_> = v.hom.iter().collect();
-        codec::put_varint(buf, hom.len() as u64);
-        for (var, c) in hom {
-            codec::put_name(buf, var.name().as_str());
-            codec::put_constant(buf, c);
-        }
-    }
-}
-
-fn get_violations(buf: &mut Bytes) -> Result<ViolationSet, StoreError> {
-    let count = codec::get_varint(buf)?;
-    let mut set = ViolationSet::empty();
-    for _ in 0..count {
-        let constraint = codec::get_varint(buf)? as u32;
-        let nbind = codec::get_varint(buf)?;
-        let mut pairs = Vec::with_capacity(nbind as usize);
-        for _ in 0..nbind {
-            let var = Var::named(&codec::get_name(buf)?);
-            let c = codec::get_constant(buf)?;
-            pairs.push((var, c));
-        }
-        set.insert(Violation {
-            constraint,
-            hom: Bindings::from_pairs(pairs),
-        });
-    }
-    Ok(set)
-}
-
-/// Appends one [`DbImage`] to `buf` (nested payloads carry their own
-/// lengths, so images embed cleanly inside WAL records).
-pub fn put_image(buf: &mut BytesMut, img: &DbImage) {
-    codec::put_name(buf, &img.name);
-    codec::put_varint(buf, img.version);
-    buf.put_u8(plan_tag(img.plan));
-    codec::put_name(buf, &img.constraints);
-    let db_bytes = codec::encode_database(&img.db);
-    codec::put_varint(buf, db_bytes.len() as u64);
-    buf.put_slice(&db_bytes);
-    put_violations(buf, &img.violations);
-}
-
-/// Reads one [`DbImage`] (inverse of [`put_image`]).
-pub fn get_image(buf: &mut Bytes) -> Result<DbImage, StoreError> {
-    let name = codec::get_name(buf)?;
-    let version = codec::get_varint(buf)?;
-    if !buf.has_remaining() {
-        return Err(StoreError::Codec(codec::CodecError::UnexpectedEof));
-    }
-    let plan = plan_from_tag(buf.get_u8())?;
-    let constraints = codec::get_name(buf)?;
-    let db_len = codec::get_varint(buf)? as usize;
-    if buf.remaining() < db_len {
-        return Err(StoreError::Codec(codec::CodecError::UnexpectedEof));
-    }
-    let db_bytes = buf.copy_to_bytes(db_len);
-    let db = codec::decode_database(&db_bytes)?;
-    let violations = get_violations(buf)?;
-    Ok(DbImage {
-        name,
-        version,
-        plan,
-        constraints,
-        db,
-        violations,
-    })
-}
+use ocqa_engine::image::{self, DbImage};
+use ocqa_engine::{Estimate, FeedbackImage, HotKey, PlanFeedback};
 
 /// The store's root artifact: what the snapshot directory holds and in
 /// which order prepared queries replay.
@@ -176,43 +36,17 @@ pub struct Manifest {
     pub prepared: Vec<(String, String)>,
     /// The registry's id counter (highest ordinal ever allocated).
     pub prepared_next: u64,
-    /// The last journaled planner-feedback image (format v2; a v1
-    /// manifest decodes with an empty one).
+    /// The last journaled planner-feedback image.
     pub feedback: FeedbackImage,
 }
 
 const MANIFEST_MAGIC: &[u8; 4] = b"OCQM";
 const SNAPSHOT_MAGIC: &[u8; 4] = b"OCQS";
-/// Current on-disk format. v2 appends the planner-feedback image to the
-/// manifest; v1 files (no feedback section) are still accepted on read.
+/// The on-disk format version of both framed files; any other is refused.
 const FORMAT_VERSION: u16 = 2;
-const MIN_FORMAT_VERSION: u16 = 1;
 
-fn frame(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 10);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-fn unframe<'a>(magic: &[u8; 4], data: &'a [u8], what: &str) -> Result<(u16, &'a [u8]), StoreError> {
-    if data.len() < 10 || &data[..4] != magic {
-        return Err(StoreError::Corrupt(format!("{what}: bad magic")));
-    }
-    let version = u16::from_le_bytes([data[4], data[5]]);
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(StoreError::Corrupt(format!(
-            "{what}: unsupported format version {version}"
-        )));
-    }
-    let crc = u32::from_le_bytes([data[6], data[7], data[8], data[9]]);
-    let payload = &data[10..];
-    if crc32(payload) != crc {
-        return Err(StoreError::Corrupt(format!("{what}: checksum mismatch")));
-    }
-    Ok((version, payload))
+fn corrupt(what: &str, e: codec::CodecError) -> StoreError {
+    StoreError::Corrupt(format!("{what}: {e}"))
 }
 
 /// Appends one [`FeedbackImage`] to `buf` (self-delimiting, so it embeds
@@ -232,7 +66,7 @@ pub fn put_feedback(buf: &mut BytesMut, feedback: &FeedbackImage) {
         codec::put_varint(buf, k.version);
         codec::put_name(buf, &k.query);
         codec::put_name(buf, &k.generator);
-        buf.put_u8(plan_tag(k.plan));
+        buf.put_u8(image::plan_tag(k.plan));
         codec::put_varint(buf, k.eps_bits);
         codec::put_varint(buf, k.delta_bits);
         codec::put_varint(buf, k.seed);
@@ -241,8 +75,8 @@ pub fn put_feedback(buf: &mut BytesMut, feedback: &FeedbackImage) {
 
 /// Reads one [`FeedbackImage`] (inverse of [`put_feedback`]).
 pub fn get_feedback(buf: &mut Bytes) -> Result<FeedbackImage, StoreError> {
-    let nest = codec::get_varint(buf)?;
-    let mut estimates = Vec::with_capacity(nest.min(1024) as usize);
+    let nest = codec::get_count(buf)?;
+    let mut estimates = Vec::with_capacity(nest);
     for _ in 0..nest {
         let db = codec::get_name(buf)?;
         let mut ests = [Estimate::default(); 3];
@@ -255,17 +89,14 @@ pub fn get_feedback(buf: &mut Bytes) -> Result<FeedbackImage, StoreError> {
             estimates: ests,
         });
     }
-    let nhot = codec::get_varint(buf)?;
-    let mut hot_keys = Vec::with_capacity(nhot.min(1024) as usize);
+    let nhot = codec::get_count(buf)?;
+    let mut hot_keys = Vec::with_capacity(nhot);
     for _ in 0..nhot {
         let db = codec::get_name(buf)?;
         let version = codec::get_varint(buf)?;
         let query = codec::get_name(buf)?;
         let generator = codec::get_name(buf)?;
-        if !buf.has_remaining() {
-            return Err(StoreError::Codec(codec::CodecError::UnexpectedEof));
-        }
-        let plan = plan_from_tag(buf.get_u8())?;
+        let plan = image::get_plan(buf)?;
         let eps_bits = codec::get_varint(buf)?;
         let delta_bits = codec::get_varint(buf)?;
         let seed = codec::get_varint(buf)?;
@@ -288,76 +119,53 @@ pub fn get_feedback(buf: &mut Bytes) -> Result<FeedbackImage, StoreError> {
 
 /// Serializes a snapshot file: framed, checksummed [`DbImage`].
 pub fn encode_snapshot(img: &DbImage) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    put_image(&mut buf, img);
-    frame(SNAPSHOT_MAGIC, &buf.freeze())
+    image::encode_framed(SNAPSHOT_MAGIC, FORMAT_VERSION, img)
 }
 
 /// Decodes a snapshot file.
 pub fn decode_snapshot(data: &[u8]) -> Result<DbImage, StoreError> {
-    let (_version, payload) = unframe(SNAPSHOT_MAGIC, data, "snapshot")?;
-    let mut buf = Bytes::copy_from_slice(payload);
-    let img = get_image(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(StoreError::Corrupt(format!(
-            "snapshot: {} trailing bytes",
-            buf.remaining()
-        )));
+    image::decode_framed(SNAPSHOT_MAGIC, FORMAT_VERSION, data).map_err(|e| corrupt("snapshot", e))
+}
+
+fn put_pairs(buf: &mut BytesMut, pairs: &[(String, String)]) {
+    codec::put_varint(buf, pairs.len() as u64);
+    for (a, b) in pairs {
+        codec::put_name(buf, a);
+        codec::put_name(buf, b);
     }
-    Ok(img)
+}
+
+fn get_pairs(buf: &mut Bytes) -> Result<Vec<(String, String)>, StoreError> {
+    let count = codec::get_count(buf)?;
+    let mut pairs = Vec::with_capacity(count);
+    for _ in 0..count {
+        pairs.push((codec::get_name(buf)?, codec::get_name(buf)?));
+    }
+    Ok(pairs)
 }
 
 /// Serializes the manifest file.
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut buf = BytesMut::new();
     codec::put_varint(&mut buf, m.next_version);
-    codec::put_varint(&mut buf, m.databases.len() as u64);
-    for (name, file) in &m.databases {
-        codec::put_name(&mut buf, name);
-        codec::put_name(&mut buf, file);
-    }
-    codec::put_varint(&mut buf, m.prepared.len() as u64);
-    for (id, text) in &m.prepared {
-        codec::put_name(&mut buf, id);
-        codec::put_name(&mut buf, text);
-    }
+    put_pairs(&mut buf, &m.databases);
+    put_pairs(&mut buf, &m.prepared);
     codec::put_varint(&mut buf, m.prepared_next);
     put_feedback(&mut buf, &m.feedback);
-    frame(MANIFEST_MAGIC, &buf.freeze())
+    codec::frame(MANIFEST_MAGIC, FORMAT_VERSION, &buf)
 }
 
 /// Decodes the manifest file.
 pub fn decode_manifest(data: &[u8]) -> Result<Manifest, StoreError> {
-    let (version, payload) = unframe(MANIFEST_MAGIC, data, "manifest")?;
+    let payload =
+        codec::unframe(MANIFEST_MAGIC, FORMAT_VERSION, data).map_err(|e| corrupt("manifest", e))?;
     let mut buf = Bytes::copy_from_slice(payload);
     let next_version = codec::get_varint(&mut buf)?;
-    let ndb = codec::get_varint(&mut buf)?;
-    let mut databases = Vec::with_capacity(ndb as usize);
-    for _ in 0..ndb {
-        let name = codec::get_name(&mut buf)?;
-        let file = codec::get_name(&mut buf)?;
-        databases.push((name, file));
-    }
-    let nprep = codec::get_varint(&mut buf)?;
-    let mut prepared = Vec::with_capacity(nprep as usize);
-    for _ in 0..nprep {
-        let id = codec::get_name(&mut buf)?;
-        let text = codec::get_name(&mut buf)?;
-        prepared.push((id, text));
-    }
+    let databases = get_pairs(&mut buf)?;
+    let prepared = get_pairs(&mut buf)?;
     let prepared_next = codec::get_varint(&mut buf)?;
-    // v1 manifests end here; v2 appends the planner-feedback image.
-    let feedback = if version >= 2 {
-        get_feedback(&mut buf)?
-    } else {
-        FeedbackImage::default()
-    };
-    if buf.has_remaining() {
-        return Err(StoreError::Corrupt(format!(
-            "manifest: {} trailing bytes",
-            buf.remaining()
-        )));
-    }
+    let feedback = get_feedback(&mut buf)?;
+    codec::expect_end(&buf).map_err(|e| corrupt("manifest", e))?;
     Ok(Manifest {
         next_version,
         databases,
@@ -370,63 +178,10 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocqa_logic::parser;
+    use bytes::Buf;
+    use ocqa_engine::PlanKind;
 
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "IEEE check value");
-    }
-
-    pub(crate) fn sample_image(name: &str, version: u64) -> DbImage {
-        let constraints = "R(x,y), R(x,z) -> y = z.";
-        let facts = parser::parse_facts("R(1,10). R(1,20). R(2,30).").unwrap();
-        let sigma = parser::parse_constraints(constraints).unwrap();
-        let schema = parser::infer_schema(&facts, &sigma).unwrap();
-        let db = Database::from_facts(schema, facts).unwrap();
-        let violations = ViolationSet::compute(&sigma, &db);
-        DbImage {
-            name: name.into(),
-            version,
-            plan: PlanKind::KeyRepair,
-            constraints: constraints.into(),
-            db,
-            violations,
-        }
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_everything() {
-        let img = sample_image("kv", 5);
-        let decoded = decode_snapshot(&encode_snapshot(&img)).unwrap();
-        assert_eq!(decoded.name, "kv");
-        assert_eq!(decoded.version, 5);
-        assert_eq!(decoded.plan, PlanKind::KeyRepair);
-        assert_eq!(decoded.constraints, img.constraints);
-        assert!(decoded.db.same_facts(&img.db));
-        assert_eq!(decoded.violations, img.violations);
-    }
-
-    #[test]
-    fn snapshot_corruption_rejected() {
-        let mut bytes = encode_snapshot(&sample_image("kv", 5));
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(StoreError::Corrupt(_))
-        ));
-        assert!(matches!(
-            decode_snapshot(&bytes[..bytes.len() - 1]),
-            Err(StoreError::Corrupt(_))
-        ));
-        assert!(matches!(
-            decode_snapshot(b"NOPE"),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
-    pub(crate) fn sample_feedback() -> FeedbackImage {
+    fn sample_feedback() -> FeedbackImage {
         FeedbackImage {
             estimates: vec![PlanFeedback {
                 db: "kv".into(),
@@ -455,9 +210,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn manifest_roundtrip() {
-        let m = Manifest {
+    fn sample_manifest() -> Manifest {
+        Manifest {
             next_version: 42,
             databases: vec![
                 ("alpha".into(), "db-7-0.snap".into()),
@@ -469,7 +223,12 @@ mod tests {
             ],
             prepared_next: 9,
             feedback: sample_feedback(),
-        };
+        }
+    }
+
+    #[test]
+    fn manifest_roundtrip() {
+        let m = sample_manifest();
         assert_eq!(decode_manifest(&encode_manifest(&m)).unwrap(), m);
         let empty = Manifest::default();
         assert_eq!(decode_manifest(&encode_manifest(&empty)).unwrap(), empty);
@@ -486,42 +245,40 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifest_still_decodes_with_empty_feedback() {
-        // Re-frame a v1 payload by hand: everything up to `prepared_next`,
-        // version stamped 1, no feedback section.
-        let m = Manifest {
-            next_version: 3,
-            databases: vec![("kv".into(), "db-3-0.snap".into())],
-            prepared: vec![("q1".into(), "(x) <- R(x,1)".into())],
-            prepared_next: 2,
-            feedback: FeedbackImage::default(),
-        };
-        let mut payload = BytesMut::new();
-        codec::put_varint(&mut payload, m.next_version);
-        codec::put_varint(&mut payload, m.databases.len() as u64);
-        for (name, file) in &m.databases {
-            codec::put_name(&mut payload, name);
-            codec::put_name(&mut payload, file);
+    fn only_the_current_format_version_is_read() {
+        let good = encode_manifest(&sample_manifest());
+        for version in [1u16, 3] {
+            let data = codec::frame(MANIFEST_MAGIC, version, &good[10..]);
+            let err = decode_manifest(&data).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported format version"),
+                "v{version}: {err}"
+            );
         }
-        codec::put_varint(&mut payload, m.prepared.len() as u64);
-        for (id, text) in &m.prepared {
-            codec::put_name(&mut payload, id);
-            codec::put_name(&mut payload, text);
-        }
-        codec::put_varint(&mut payload, m.prepared_next);
-        let payload = payload.freeze();
-        let mut data = Vec::new();
-        data.extend_from_slice(MANIFEST_MAGIC);
-        data.extend_from_slice(&1u16.to_le_bytes());
-        data.extend_from_slice(&crc32(&payload).to_le_bytes());
-        data.extend_from_slice(&payload);
-        assert_eq!(decode_manifest(&data).unwrap(), m);
-        // Future versions stay rejected.
-        data[4] = 3;
-        data[5] = 0;
+        // A snapshot is not a manifest, and vice versa.
         assert!(matches!(
-            decode_manifest(&data),
+            decode_snapshot(&good),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn manifest_length_fields_cannot_size_an_allocation() {
+        // The manifest's varints in payload order; the four marked ones
+        // are list counts. Each in turn claims 2^44 entries inside a frame
+        // whose checksum is correct, and is refused before anything is
+        // allocated for it.
+        const COUNTS: [usize; 4] = [1, 2, 4, 5]; // databases, prepared, estimates, hot keys
+        for hostile in COUNTS {
+            let mut buf = BytesMut::new();
+            for field in 0..=hostile {
+                codec::put_varint(&mut buf, if field == hostile { 1 << 44 } else { 0 });
+            }
+            let data = codec::frame(MANIFEST_MAGIC, FORMAT_VERSION, &buf);
+            assert!(decode_manifest(&data).is_err(), "varint #{hostile}");
+        }
+        // All six at zero is the empty manifest.
+        let empty = codec::frame(MANIFEST_MAGIC, FORMAT_VERSION, &[0; 6]);
+        assert_eq!(decode_manifest(&empty).unwrap(), Manifest::default());
     }
 }

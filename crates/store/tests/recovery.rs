@@ -447,7 +447,7 @@ fn refolded_prepare_records_replay_idempotently() {
         }
         .encode();
         log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        log.extend_from_slice(&ocqa_store::crc32(&payload).to_le_bytes());
+        log.extend_from_slice(&ocqa_data::codec::crc32(&payload).to_le_bytes());
         log.extend_from_slice(&payload);
     }
     std::fs::write(dir.join("wal.log"), &log).unwrap();
@@ -489,12 +489,13 @@ fn direct_wal_scan_reports_valid_prefix() {
     {
         let mut w = ocqa_store::WalWriter::open(&path, 0).unwrap();
         for i in 0..3 {
-            w.append(&WalRecord::Prepare {
+            let record = WalRecord::Prepare {
                 text: format!("(x) <- R(x, {i})"),
                 ordinal: i + 1,
-            })
-            .unwrap();
+            };
+            w.append_unsynced(&record.encode()).unwrap();
         }
+        w.sync().unwrap();
     }
     let full = std::fs::read(&path).unwrap();
     let scan = ocqa_store::wal::scan(&path).unwrap();
@@ -608,9 +609,9 @@ fn feedback_for_dead_databases_is_pruned_on_recovery() {
 mod proptests {
 
     use ocqa_data::{codec, Constant, Database, Fact, Schema};
-    use ocqa_engine::PlanKind;
+    use ocqa_engine::{DbImage, PlanKind};
     use ocqa_logic::ViolationSet;
-    use ocqa_store::{wire, DbImage};
+    use ocqa_store::wire;
     use proptest::prelude::*;
 
     proptest! {
@@ -735,37 +736,4 @@ fn group_commit_restart_is_bit_identical() {
         "group-committed log must replay bit-identically"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn store_snapshot_export_import_moves_a_database() {
-    let src_dir = temp_dir("export-src");
-    let dst_dir = temp_dir("export-dst");
-    // Source shard: install and answer once, then release the directory.
-    let first_answer = {
-        let e = engine_at(&src_dir, StoreOptions::default());
-        assert!(e.handle_line(CREATE).to_string().contains("\"ok\":true"));
-        e.handle_line(ANSWER).to_string()
-    };
-    // Offline move: export the blob from the source store, import it
-    // into an empty destination store.
-    let blob = {
-        let store = ocqa_store::Store::open(&src_dir, StoreOptions::default()).unwrap();
-        assert!(store.snapshot_export("nope").is_err(), "unknown name");
-        store.snapshot_export("kv").unwrap()
-    };
-    {
-        let store = ocqa_store::Store::open(&dst_dir, StoreOptions::default()).unwrap();
-        store.snapshot_import(&blob).unwrap();
-        // Re-importing the same version is an idempotent no-op at
-        // replay, exactly like a re-folded WAL install record.
-        store.snapshot_import(&blob).unwrap();
-    }
-    // An engine over the destination serves the moved database
-    // bit-identically: the import preserved its exact version, plan and
-    // violation set.
-    let e = engine_at(&dst_dir, StoreOptions::default());
-    assert_eq!(e.handle_line(ANSWER).to_string(), first_answer);
-    let _ = std::fs::remove_dir_all(&src_dir);
-    let _ = std::fs::remove_dir_all(&dst_dir);
 }
