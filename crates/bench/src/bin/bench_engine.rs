@@ -272,7 +272,7 @@ fn streaming() -> Json {
 /// Saturation: cold monolithic `answer` throughput under 8 concurrent
 /// client threads at 1/2/4/8 sampler workers (distinct seeds per
 /// request, so nothing caches or coalesces — every request runs its full
-/// walk budget on the work-stealing pool), plus write-heavy WAL append
+/// walk budget on the sampler pool), plus write-heavy WAL append
 /// throughput with group commit off vs on (8 concurrent mutators; off
 /// pays one `fsync` per append, on shares one batch `fsync` per window).
 /// Rates are requests (or appends) per second; scaling beyond the

@@ -44,8 +44,6 @@ pub enum LocalizeError {
     NotDenialFragment,
     /// A component exploration failed (budget or generator).
     Explore(ExploreError),
-    /// A component walk failed (generator error during sampling).
-    Sample(SampleError),
     /// The product of component supports exceeded the state budget.
     ProductTooLarge {
         /// Number of combined repairs that would be produced.
@@ -60,7 +58,6 @@ impl fmt::Display for LocalizeError {
                 write!(f, "repair localization requires EGDs/DCs only")
             }
             LocalizeError::Explore(e) => write!(f, "{e}"),
-            LocalizeError::Sample(e) => write!(f, "{e}"),
             LocalizeError::ProductTooLarge { combinations } => {
                 write!(
                     f,
@@ -76,12 +73,6 @@ impl std::error::Error for LocalizeError {}
 impl From<ExploreError> for LocalizeError {
     fn from(e: ExploreError) -> Self {
         LocalizeError::Explore(e)
-    }
-}
-
-impl From<SampleError> for LocalizeError {
-    fn from(e: SampleError) -> Self {
-        LocalizeError::Sample(e)
     }
 }
 
@@ -360,21 +351,6 @@ impl ComponentSampler {
     }
 }
 
-/// One-shot convenience: builds a [`ComponentSampler`] and runs `walks`
-/// localized walks (callers serving many requests should build the sampler
-/// once per database version and call
-/// [`ComponentSampler::sample_tally`] directly).
-pub fn localized_sample_tally(
-    ctx: &Arc<RepairContext>,
-    gen: &dyn ChainGenerator,
-    query: &Query,
-    walks: u64,
-    seed: u64,
-) -> Result<SampleTally, LocalizeError> {
-    let sampler = ComponentSampler::new(ctx)?;
-    Ok(sampler.sample_tally(gen, query, walks, seed)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,9 +522,6 @@ mod tests {
         assert_eq!(a.counts, b.counts, "same seed, same tally");
         let c = sampler.sample_tally(&gen, &q, 300, 8).unwrap();
         assert_ne!(a.counts, c.counts, "seed must matter");
-        // The one-shot helper agrees with the prebuilt sampler.
-        let d = localized_sample_tally(&ctx, &gen, &q, 300, 7).unwrap();
-        assert_eq!(a.counts, d.counts);
     }
 
     #[test]

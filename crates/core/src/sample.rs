@@ -21,7 +21,7 @@ use ocqa_data::{Constant, Database};
 use ocqa_logic::Query;
 use ocqa_num::{IBig, Rat};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -156,6 +156,25 @@ pub struct Estimate {
     pub delta: f64,
 }
 
+/// The `Sample` loop of §5, written once: runs `walks` walks, hands every
+/// sampled repair to `leaf`, and returns the number of failed walks.
+fn walk_repairs(
+    ctx: &Arc<RepairContext>,
+    gen: &dyn ChainGenerator,
+    walks: u64,
+    rng: &mut StdRng,
+    mut leaf: impl FnMut(&Database),
+) -> Result<u64, SampleError> {
+    let mut failed = 0u64;
+    for _ in 0..walks {
+        match sample_walk(ctx, gen, rng)? {
+            WalkOutcome::Repair(db) => leaf(&db),
+            WalkOutcome::Failed(_) => failed += 1,
+        }
+    }
+    Ok(failed)
+}
+
 /// Estimates `CP(t̄)` for one tuple with additive error `eps` at confidence
 /// `1 − delta` (Theorem 9).
 pub fn estimate_tuple_probability(
@@ -169,17 +188,11 @@ pub fn estimate_tuple_probability(
 ) -> Result<Estimate, SampleError> {
     let n = sample_size(eps, delta);
     let mut hits = 0u64;
-    let mut failed = 0u64;
-    for _ in 0..n {
-        match sample_walk(ctx, gen, rng)? {
-            WalkOutcome::Repair(db) => {
-                if query.holds(&db, tuple) {
-                    hits += 1;
-                }
-            }
-            WalkOutcome::Failed(_) => failed += 1,
+    let failed = walk_repairs(ctx, gen, n, rng, |db| {
+        if query.holds(db, tuple) {
+            hits += 1;
         }
-    }
+    })?;
     Ok(Estimate {
         value: hits as f64 / n as f64,
         samples: n,
@@ -227,30 +240,14 @@ pub fn estimate_conditional(
     delta: f64,
     rng: &mut StdRng,
 ) -> Result<Option<Estimate>, SampleError> {
-    let n = sample_size(eps, delta);
-    let mut hits = 0u64;
-    let mut failed = 0u64;
-    for _ in 0..n {
-        match sample_walk(ctx, gen, rng)? {
-            WalkOutcome::Repair(db) => {
-                if query.holds(&db, tuple) {
-                    hits += 1;
-                }
-            }
-            WalkOutcome::Failed(_) => failed += 1,
-        }
-    }
-    let successes = n - failed;
+    let plain = estimate_tuple_probability(ctx, gen, query, tuple, eps, delta, rng)?;
+    let successes = plain.samples - plain.failed_walks;
     if successes == 0 {
         return Ok(None);
     }
     Ok(Some(Estimate {
-        value: hits as f64 / successes as f64,
-        samples: n,
-        hits,
-        failed_walks: failed,
-        epsilon: eps,
-        delta,
+        value: plain.hits as f64 / successes as f64,
+        ..plain
     }))
 }
 
@@ -267,11 +264,9 @@ pub fn estimate_expected_count(
 ) -> Result<(f64, u64), SampleError> {
     let n = sample_size(eps, delta);
     let mut total = 0u64;
-    for _ in 0..n {
-        if let WalkOutcome::Repair(db) = sample_walk(ctx, gen, rng)? {
-            total += query.answers(&db).len() as u64;
-        }
-    }
+    walk_repairs(ctx, gen, n, rng, |db| {
+        total += query.answers(db).len() as u64;
+    })?;
     Ok((total as f64 / n as f64, n))
 }
 
@@ -358,88 +353,16 @@ pub fn sample_tally(
     walks: u64,
     rng: &mut StdRng,
 ) -> Result<SampleTally, SampleError> {
-    let mut tally = SampleTally {
+    let mut counts = BTreeMap::new();
+    let failed_walks = walk_repairs(ctx, gen, walks, rng, |db| {
+        for tuple in query.answers(db) {
+            *counts.entry(tuple).or_insert(0) += 1;
+        }
+    })?;
+    Ok(SampleTally {
+        counts,
         walks,
-        ..SampleTally::default()
-    };
-    for _ in 0..walks {
-        match sample_walk(ctx, gen, rng)? {
-            WalkOutcome::Repair(db) => {
-                for tuple in query.answers(&db) {
-                    *tally.counts.entry(tuple).or_insert(0) += 1;
-                }
-            }
-            WalkOutcome::Failed(_) => tally.failed_walks += 1,
-        }
-    }
-    Ok(tally)
-}
-
-/// Multi-threaded version of [`estimate_tuple_probability`]: walks are
-/// split across `threads` workers, each with an independent RNG derived
-/// from `seed`.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_tuple_probability_parallel(
-    ctx: &Arc<RepairContext>,
-    gen: &dyn ChainGenerator,
-    query: &Query,
-    tuple: &[Constant],
-    eps: f64,
-    delta: f64,
-    threads: usize,
-    seed: u64,
-) -> Result<Estimate, SampleError> {
-    assert!(threads > 0);
-    let n = sample_size(eps, delta);
-    let per = n / threads as u64;
-    let extra = n % threads as u64;
-    let (tx, rx) = crossbeam::channel::unbounded();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let tx = tx.clone();
-            let ctx = ctx.clone();
-            let quota = per + if (t as u64) < extra { 1 } else { 0 };
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37_79B9));
-                let mut hits = 0u64;
-                let mut failed = 0u64;
-                let mut err: Option<SampleError> = None;
-                for _ in 0..quota {
-                    match sample_walk(&ctx, gen, &mut rng) {
-                        Ok(WalkOutcome::Repair(db)) => {
-                            if query.holds(&db, tuple) {
-                                hits += 1;
-                            }
-                        }
-                        Ok(WalkOutcome::Failed(_)) => failed += 1,
-                        Err(e) => {
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let _ = tx.send(match err {
-                    None => Ok((hits, failed)),
-                    Some(e) => Err(e),
-                });
-            });
-        }
-        drop(tx);
-        let mut hits = 0u64;
-        let mut failed = 0u64;
-        for msg in rx {
-            let (h, f) = msg?;
-            hits += h;
-            failed += f;
-        }
-        Ok(Estimate {
-            value: hits as f64 / n as f64,
-            samples: n,
-            hits,
-            failed_walks: failed,
-            epsilon: eps,
-            delta,
-        })
+        failed_walks,
     })
 }
 
@@ -450,6 +373,7 @@ mod tests {
     use crate::explore::{repair_distribution, ExploreOptions};
     use crate::{PreferenceGenerator, UniformGenerator};
     use ocqa_logic::parser;
+    use rand::SeedableRng;
 
     fn make_ctx(facts: &str, constraints: &str) -> Arc<RepairContext> {
         let facts = parser::parse_facts(facts).unwrap();
@@ -550,27 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_estimate_matches_semantics() {
-        let ctx = make_ctx("R(a,b). R(a,c).", "R(x,y), R(x,z) -> y = z.");
-        let gen = UniformGenerator::new();
-        let q = parser::parse_query("(y) <- exists x: R(x,y)").unwrap();
-        // Exact CP(b) = 1/3 (three uniform repairs; b survives in one).
-        let est = estimate_tuple_probability_parallel(
-            &ctx,
-            &gen,
-            &q,
-            &[Constant::named("b")],
-            0.05,
-            0.02,
-            4,
-            99,
-        )
-        .unwrap();
-        assert_eq!(est.samples, sample_size(0.05, 0.02));
-        assert!((est.value - 1.0 / 3.0).abs() <= 0.05, "value {}", est.value);
-    }
-
-    #[test]
     fn conditional_ratio_estimator_on_failing_chain() {
         // D = {R(a), S(a)}, Σ = {R(x) → T(x); T(x) → ⊥}: half the walks
         // fail; S(a) survives the single repair, so the conditional
@@ -655,6 +558,74 @@ mod tests {
             tally.conditional_frequencies().unwrap(),
             tally.frequencies()
         );
+    }
+
+    #[test]
+    fn estimators_match_values_recorded_before_the_shared_loop() {
+        // Differential pin: every figure below was printed by the four
+        // hand-written loops these estimators replaced (commit 83a2c07),
+        // for the same seeds. `next` is the RNG's next output after the
+        // call, so the walk loop's RNG consumption is pinned too.
+        let keys = make_ctx(
+            "R(a,b). R(a,c). R(b,b). R(b,c).",
+            "R(x,y), R(x,z) -> y = z.",
+        );
+        // Half the walks of this chain fail.
+        let failing = make_ctx("R(a). S(a).", "R(x) -> T(x). T(x) -> false.");
+        let gen = UniformGenerator::new();
+        let qy = parser::parse_query("(y) <- exists x: R(x,y)").unwrap();
+        let qs = parser::parse_query("(x) <- S(x)").unwrap();
+        let (a, b, c) = (
+            Constant::named("a"),
+            Constant::named("b"),
+            Constant::named("c"),
+        );
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let e = estimate_tuple_probability(&keys, &gen, &qy, &[b], 0.1, 0.1, &mut rng).unwrap();
+        assert_eq!(
+            (e.hits, e.failed_walks, e.value, e.samples),
+            (84, 0, 0.56, 150)
+        );
+        assert_eq!(rng.next_u64(), 5281205027910861415);
+
+        let mut rng = StdRng::seed_from_u64(6);
+        let e = estimate_tuple_probability(&failing, &gen, &qs, &[a], 0.1, 0.1, &mut rng).unwrap();
+        assert_eq!(
+            (e.hits, e.failed_walks, e.value, e.samples),
+            (76, 74, 0.5066666666666667, 150)
+        );
+        assert_eq!(rng.next_u64(), 7357362664926606420);
+
+        let mut rng = StdRng::seed_from_u64(6);
+        let e = estimate_conditional(&failing, &gen, &qs, &[a], 0.1, 0.1, &mut rng)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (e.hits, e.failed_walks, e.value, e.samples),
+            (76, 74, 1.0, 150)
+        );
+        assert_eq!(rng.next_u64(), 7357362664926606420);
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let count = estimate_expected_count(&keys, &gen, &qy, 0.1, 0.1, &mut rng).unwrap();
+        assert_eq!(count, (1.1333333333333333, 150));
+        assert_eq!(rng.next_u64(), 5254306250682446134);
+        let mut rng = StdRng::seed_from_u64(7);
+        let count = estimate_expected_count(&failing, &gen, &qs, 0.1, 0.1, &mut rng).unwrap();
+        assert_eq!(count, (0.47333333333333333, 150));
+        assert_eq!(rng.next_u64(), 569657501544096239);
+
+        let mut rng = StdRng::seed_from_u64(8);
+        let t = sample_tally(&keys, &gen, &qy, 150, &mut rng).unwrap();
+        assert_eq!(t.counts, BTreeMap::from([(vec![b], 82), (vec![c], 86)]));
+        assert_eq!((t.walks, t.failed_walks), (150, 0));
+        assert_eq!(rng.next_u64(), 15260170240304636636);
+        let mut rng = StdRng::seed_from_u64(8);
+        let t = sample_tally(&failing, &gen, &qs, 150, &mut rng).unwrap();
+        assert_eq!(t.counts, BTreeMap::from([(vec![a], 75)]));
+        assert_eq!((t.walks, t.failed_walks), (150, 75));
+        assert_eq!(rng.next_u64(), 13190667099566277290);
     }
 
     #[test]

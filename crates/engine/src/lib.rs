@@ -28,10 +28,11 @@
 //!   shipped install are the same call, [`Catalog::restore`];
 //! * [`PreparedQuery`] / [`PreparedRegistry`] — parse and validate a
 //!   query once, reuse the handle across requests;
-//! * [`SamplerPool`] — a fixed worker-thread pool that fans each
-//!   request's walk budget out as fixed-size chunks with per-chunk seed
-//!   derivation, making answers bit-identical for a fixed seed
-//!   regardless of pool size;
+//! * [`SamplerPool`] — a fixed set of long-lived worker threads over one
+//!   FIFO queue of in-flight requests: each request's walk budget is
+//!   split into fixed-size chunks with per-chunk seed derivation, and
+//!   every idle worker joins the oldest request that still has chunks —
+//!   answers are bit-identical for a fixed seed regardless of pool size;
 //! * [`DbPlan`] / [`SampleTask`] — the answer planner: each database is
 //!   classified at install time (primary-key-only → group-wise key
 //!   repair; denial fragment → per-component localized sampling;

@@ -1,6 +1,6 @@
-//! The sampler pool: a fixed set of worker threads executing each
-//! request's sample budget as fixed-size chunks, scheduled by work
-//! stealing.
+//! The sampler pool: a fixed set of long-lived worker threads executing
+//! each request's sample budget as fixed-size chunks, oldest request
+//! first.
 //!
 //! **Determinism.** Results must be bit-identical for a fixed seed no
 //! matter how many workers the pool has or which worker runs which
@@ -17,23 +17,36 @@
 //! **Scheduling.** A request submits one [`Batch`] descriptor, not one
 //! message per chunk: workers claim chunk indices from the batch's
 //! atomic cursor, so a 400-chunk monolithic run costs a handful of queue
-//! operations instead of 400 channel sends and `Arc` clones. Handles to
-//! an in-flight batch live in a shared [`Injector`] plus per-worker
-//! [`Worker`] deques; a worker joining a batch re-advertises it on its
-//! own deque, so idle siblings can steal into it mid-run while the
-//! owner never touches the shared injector again. Single-chunk budgets
+//! operations instead of 400 channel sends and `Arc` clones. In-flight
+//! batches sit in one FIFO queue under the pool's mutex; every idle
+//! worker joins the *front* batch and stays on it until its cursor is
+//! exhausted, and exhausted fronts are popped. Single-chunk budgets
 //! bypass the pool entirely and sample on the calling thread.
+//!
+//! Why oldest-first on long-lived threads, rather than sharing the
+//! workers between overlapping requests or spawning scoped threads per
+//! request: for a closed loop, sharing was measured worse — `cold_walk`
+//! at 2 connections on 2 cores read `op_p50_ms` 164–188 vs 128–140 and
+//! `rps` 10.5–12.2 vs 13.6–15.3 with per-request scoped threads, every
+//! seed pair worse — because both requests then finish late instead of
+//! one early and one on time; and per-thread CPU accounting
+//! (`/proc/<pid>/task/*/schedstat`) only sees threads that are still
+//! alive when it is read.
 
 use crate::error::EngineError;
 use crate::planner::SampleTask;
-use crossbeam::channel::SyncSender;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use ocqa_core::sample::{self, SampleTally};
+use ocqa_core::sample::SampleTally;
 use ocqa_core::{ChainGenerator, RepairContext};
 use ocqa_logic::Query;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// Per-chunk seed derivation; part of the reproducibility contract along
+/// with [`CHUNK_WALKS`].
+pub use ocqa_core::sample::derive_seed;
 
 /// Walks per dispatched chunk. Fixed: changing this changes sampled
 /// streams, so it is part of the engine's reproducibility contract.
@@ -76,20 +89,18 @@ impl Batch {
 
 struct PoolState {
     shutdown: bool,
-    /// Bumped on every submission; workers re-scan the queues whenever it
-    /// moves, which closes the sleep/submit race without spinning.
-    submissions: u64,
+    /// In-flight batches, oldest first. The engine's `ShardFull`
+    /// admission bound caps its length at `max_inflight`.
+    queue: VecDeque<Arc<Batch>>,
 }
 
 struct PoolShared {
-    injector: Injector<Arc<Batch>>,
-    stealers: Vec<Stealer<Arc<Batch>>>,
     state: Mutex<PoolState>,
     wake: Condvar,
 }
 
-/// A fixed worker-thread pool executing sample-walk chunks with work
-/// stealing.
+/// A fixed worker-thread pool executing sample-walk chunks, oldest
+/// request first.
 pub struct SamplerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -107,24 +118,19 @@ impl SamplerPool {
         } else {
             workers
         };
-        let locals: Vec<Worker<Arc<Batch>>> = (0..workers).map(|_| Worker::new_fifo()).collect();
         let shared = Arc::new(PoolShared {
-            injector: Injector::new(),
-            stealers: locals.iter().map(Worker::stealer).collect(),
             state: Mutex::new(PoolState {
                 shutdown: false,
-                submissions: 0,
+                queue: VecDeque::new(),
             }),
             wake: Condvar::new(),
         });
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        let handles = (0..workers)
+            .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("ocqa-sampler-{i}"))
-                    .spawn(move || worker_loop(&shared, &local, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn sampler worker")
             })
             .collect();
@@ -152,7 +158,7 @@ impl SamplerPool {
     ) -> Result<SampleTally, EngineError> {
         let chunks = walks.div_ceil(CHUNK_WALKS);
         if chunks <= 1 {
-            // Single-chunk budgets skip the queues and reply channel
+            // Single-chunk budgets skip the queue and reply channel
             // entirely: chunk 0 still seeds from derive_seed(seed, 0), so
             // the tally is bit-identical to the pooled path.
             return run_chunk_guarded(task, query, walks, seed, 0).map_err(EngineError::Sampling);
@@ -174,7 +180,7 @@ impl SamplerPool {
         // Pre-sized to the chunk count: every chunk sends exactly once,
         // so sends never block and the request never allocates an
         // unbounded queue.
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded(chunks as usize);
+        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(chunks as usize);
         let batch = Arc::new(Batch {
             task: task.clone(),
             query: query.clone(),
@@ -184,18 +190,7 @@ impl SamplerPool {
             cursor: AtomicU64::new(0),
             reply: reply_tx,
         });
-        // One injected handle per worker that could usefully join (capped
-        // by the chunk count): whichever workers are idle right now all
-        // find a handle on wake-up, and leftovers drain as cheap no-ops.
-        let handles = (self.workers.len() as u64).min(chunks);
-        for _ in 0..handles {
-            self.shared.injector.push(batch.clone());
-        }
-        drop(batch);
-        {
-            let mut state = lock(&self.shared.state);
-            state.submissions += 1;
-        }
+        lock(&self.shared.state).queue.push_back(batch);
         self.shared.wake.notify_all();
         let mut tally = SampleTally::default();
         for _ in 0..chunks {
@@ -235,10 +230,7 @@ impl SamplerPool {
 
 impl Drop for SamplerPool {
     fn drop(&mut self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.wake.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -252,56 +244,30 @@ fn lock(state: &Mutex<PoolState>) -> std::sync::MutexGuard<'_, PoolState> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn worker_loop(shared: &PoolShared, local: &Worker<Arc<Batch>>, me: usize) {
-    while let Some(batch) = next_batch(shared, local, me) {
-        // Re-advertise the batch on the local deque before working it:
-        // the handle stays stealable by idle siblings for the whole run,
-        // and the owner pops it back (and drops it, exhausted) afterward.
-        if batch.has_spare_chunks() {
-            local.push(batch.clone());
-        }
+fn worker_loop(shared: &PoolShared) {
+    while let Some(batch) = next_batch(shared) {
         batch.work();
     }
 }
 
-/// Blocks until a batch handle is available (local deque first, then the
-/// injector, then sibling deques) or the pool shuts down with every
-/// queue drained.
-fn next_batch(shared: &PoolShared, local: &Worker<Arc<Batch>>, me: usize) -> Option<Arc<Batch>> {
+/// Blocks until the front of the queue has unclaimed chunks, popping
+/// exhausted fronts on the way, or the pool shuts down with the queue
+/// drained.
+fn next_batch(shared: &PoolShared) -> Option<Arc<Batch>> {
+    let mut state = lock(&shared.state);
     loop {
-        if let Some(batch) = local.pop() {
-            if batch.has_spare_chunks() {
-                return Some(batch);
+        match state.queue.front() {
+            Some(front) if front.has_spare_chunks() => return Some(front.clone()),
+            Some(_) => {
+                state.queue.pop_front();
             }
-            continue; // exhausted advertisement
-        }
-        // Read the submission counter *before* scanning the shared
-        // queues: a submission after this point bumps it, so the wait
-        // below cannot miss it.
-        let (seen, shutdown) = {
-            let state = lock(&shared.state);
-            (state.submissions, state.shutdown)
-        };
-        if let Steal::Success(batch) = shared.injector.steal() {
-            return Some(batch);
-        }
-        for (i, stealer) in shared.stealers.iter().enumerate() {
-            if i == me {
-                continue;
+            None if state.shutdown => return None,
+            None => {
+                state = shared
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-            if let Steal::Success(batch) = stealer.steal() {
-                return Some(batch);
-            }
-        }
-        if shutdown {
-            return None; // queues drained after the shutdown flag: done
-        }
-        let mut state = lock(&shared.state);
-        while !state.shutdown && state.submissions == seen {
-            state = shared
-                .wake
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 }
@@ -334,16 +300,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     format!("sampling panicked: {msg}")
 }
 
-/// Per-chunk seed derivation: one SplitMix64 round over `seed ⊕ f(chunk)`.
-/// Chunk streams must be decorrelated but *stable* — this function is part
-/// of the reproducibility contract along with [`CHUNK_WALKS`]. The
-/// implementation lives in `ocqa_core::sample` (localized sampling derives
-/// its per-component streams with the same function); this re-export keeps
-/// the engine's historical entry point.
-pub fn derive_seed(seed: u64, chunk: u64) -> u64 {
-    sample::derive_seed(seed, chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +309,11 @@ mod tests {
     use ocqa_logic::parser;
 
     fn setup() -> (Arc<RepairContext>, Arc<dyn ChainGenerator>, Arc<Query>) {
-        let facts = parser::parse_facts("R(a,b). R(a,c). R(b,b). R(b,c).").unwrap();
+        setup_with("R(a,b). R(a,c). R(b,b). R(b,c).")
+    }
+
+    fn setup_with(facts: &str) -> (Arc<RepairContext>, Arc<dyn ChainGenerator>, Arc<Query>) {
+        let facts = parser::parse_facts(facts).unwrap();
         let sigma = parser::parse_constraints("R(x,y), R(x,z) -> y = z.").unwrap();
         let schema = parser::infer_schema(&facts, &sigma).unwrap();
         let db = Database::from_facts(schema, facts).unwrap();
@@ -410,10 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_batches_steal_without_cross_talk() {
-        // Several requests in flight at once: work stealing may interleave
-        // their chunks arbitrarily across workers, but each request's
-        // tally must equal its single-threaded reference.
+    fn concurrent_batches_run_without_cross_talk() {
+        // Several requests in flight at once: whichever workers run
+        // whichever chunks, each request's tally must equal its
+        // single-threaded reference.
         let (ctx, gen, query) = setup();
         let pool = Arc::new(SamplerPool::new(4));
         let reference: Vec<SampleTally> = (0..6)
@@ -458,6 +418,78 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_batches_are_served_oldest_first() {
+        // One conflict that any single operation resolves, so a walk is
+        // exactly one generator call and a worker's k-th call on a batch
+        // opens a chunk iff k is a multiple of CHUNK_WALKS.
+        let (ctx, _, query) = setup_with("R(a,b). R(a,c).");
+        let walks = 4 * CHUNK_WALKS;
+        for workers in [1usize, 2] {
+            let pool = SamplerPool::new(workers);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
+            let recorder = |label: &'static str, gated: bool| {
+                let (log, gate) = (log.clone(), gate.clone());
+                let gen = ocqa_core::WeightFnGenerator::new(label, move |_, ops| {
+                    log.lock()
+                        .unwrap()
+                        .push((label, std::thread::current().id()));
+                    let mut open = gate.0.lock().unwrap();
+                    while gated && !*open {
+                        open = gate.1.wait(open).unwrap();
+                    }
+                    let mut w = vec![ocqa_num::Rat::zero(); ops.len()];
+                    w[0] = ocqa_num::Rat::one();
+                    w
+                });
+                Arc::new(gen) as Arc<dyn ChainGenerator>
+            };
+            // A's walks block until B is queued behind it.
+            let (gen_a, gen_b) = (recorder("A", true), recorder("B", false));
+            std::thread::scope(|scope| {
+                let a = scope.spawn(|| pool.run_monolithic(&ctx, &gen_a, &query, walks, 1));
+                while log.lock().unwrap().is_empty() {
+                    std::thread::yield_now();
+                }
+                let b = scope.spawn(|| pool.run_monolithic(&ctx, &gen_b, &query, walks, 2));
+                while lock(&pool.shared.state).queue.len() < 2 {
+                    std::thread::yield_now();
+                }
+                *gate.0.lock().unwrap() = true;
+                gate.1.notify_all();
+                assert_eq!(a.join().unwrap().unwrap().walks, walks);
+                assert_eq!(b.join().unwrap().unwrap().walks, walks);
+            });
+            let log = log.lock().unwrap();
+            let mut calls = std::collections::HashMap::new();
+            let mut on_b = std::collections::HashSet::new();
+            let mut late_a_starts = 0;
+            for &(label, thread) in log.iter() {
+                let k = calls.entry((label, thread)).or_insert(0u64);
+                let opens_chunk = *k % CHUNK_WALKS == 0;
+                *k += 1;
+                if label == "B" {
+                    on_b.insert(thread);
+                } else {
+                    assert!(
+                        !on_b.contains(&thread),
+                        "{workers} workers: a worker went back from B to A"
+                    );
+                    late_a_starts += u64::from(opens_chunk && !on_b.is_empty());
+                }
+            }
+            assert_eq!(calls.values().sum::<u64>(), 2 * walks, "one call per walk");
+            // Every A chunk is claimed before any worker moves on to B;
+            // each *other* worker may still be between claiming its last
+            // A chunk and that chunk's first generator call.
+            assert!(
+                late_a_starts < workers as u64,
+                "{workers} workers: {late_a_starts} A chunks started after B had started"
+            );
+        }
+    }
+
+    #[test]
     fn panicking_chunk_fails_request_but_pool_survives() {
         let (ctx, gen, query) = setup();
         let pool = SamplerPool::new(2);
@@ -465,16 +497,40 @@ mod tests {
             Arc::new(ocqa_core::WeightFnGenerator::new("bomb", |_, _| {
                 panic!("boom in generator")
             }));
-        let err = pool
-            .run_monolithic(&ctx, &bomb, &query, 200, 1)
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("panicked"),
-            "panic surfaced as request error: {err}"
-        );
-        // Workers survived the panic; normal requests keep working.
-        let tally = pool.run_monolithic(&ctx, &gen, &query, 100, 2).unwrap();
-        assert_eq!(tally.walks, 100);
+        // Weights that do not sum to one: every chunk returns `Err`, and
+        // the requester bails on the first while the rest still run.
+        let skewed: Arc<dyn ChainGenerator> =
+            Arc::new(ocqa_core::WeightFnGenerator::new("skewed", |_, ops| {
+                vec![ocqa_num::Rat::one(); ops.len()]
+            }));
+        for round in 0..3 {
+            let err = pool
+                .run_monolithic(&ctx, &bomb, &query, 200, round)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("panicked"),
+                "panic surfaced as request error: {err}"
+            );
+            let err = pool
+                .run_monolithic(&ctx, &skewed, &query, 10 * CHUNK_WALKS, round)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Sampling(_)), "{err}");
+            // Workers survived; normal requests keep working.
+            let tally = pool.run_monolithic(&ctx, &gen, &query, 100, round).unwrap();
+            assert_eq!(tally.walks, 100);
+        }
+        assert_eq!(pool.workers(), 2);
+        // A served request was at the front, so everything before it has
+        // been popped; it goes itself once a worker looks again.
+        assert!(lock(&pool.shared.state).queue.len() <= 1);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !lock(&pool.shared.state).queue.is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "exhausted batch never left the queue"
+            );
+            std::thread::yield_now();
+        }
     }
 
     #[test]

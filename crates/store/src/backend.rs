@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 /// active log crosses the configured threshold, off the request path.
 pub struct DiskBackend {
     store: Arc<Store>,
-    compact_tx: Mutex<Option<crossbeam::channel::Sender<()>>>,
+    compact_tx: Mutex<Option<std::sync::mpsc::Sender<()>>>,
     compactor: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -31,7 +31,7 @@ impl DiskBackend {
     /// Opens the backend at `dir` with explicit options.
     pub fn with_options(dir: &Path, opts: StoreOptions) -> Result<DiskBackend, StoreError> {
         let store = Arc::new(Store::open(dir, opts)?);
-        let (tx, rx) = crossbeam::channel::unbounded::<()>();
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
         let worker_store = store.clone();
         let compactor = std::thread::Builder::new()
             .name("ocqa-store-compactor".into())

@@ -87,20 +87,20 @@ fn main() {
     // full exploration of that key's isolated conflict.
     let key = w.conflict_keys[0];
     let point_q = w.point_query(key);
-    let est = sample::estimate_tuple_probability_parallel(
+    let mut rng = StdRng::seed_from_u64(123);
+    let est = sample::estimate_tuple_probability(
         &ctx,
         &gen,
         &point_q,
         &[first_value_of(&ctx, key)],
         0.05,
         0.05,
-        4,
-        123,
+        &mut rng,
     )
     .unwrap();
     println!(
         "\npoint query {point_q} on key {key}: CP ≈ {:.3} \
-         ({} walks across 4 threads, {} failing)",
+         ({} walks, {} failing)",
         est.value, est.samples, est.failed_walks
     );
 }

@@ -114,20 +114,6 @@ fn whole_query_estimation_matches_exact_support() {
     }
 }
 
-#[test]
-fn parallel_and_sequential_agree_statistically() {
-    let ctx = conflict_ctx();
-    let gen = UniformGenerator::new();
-    let q = parser::parse_query("() <- exists y: R('a', y)").unwrap();
-    let par = sample::estimate_tuple_probability_parallel(&ctx, &gen, &q, &[], 0.05, 0.02, 4, 31)
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(32);
-    let seq =
-        sample::estimate_tuple_probability(&ctx, &gen, &q, &[], 0.05, 0.02, &mut rng).unwrap();
-    assert_eq!(par.samples, seq.samples);
-    assert!((par.value - seq.value).abs() <= 0.1);
-}
-
 /// The key-repair fast path (§5 scheme) agrees with its own exact product
 /// distribution.
 #[test]
