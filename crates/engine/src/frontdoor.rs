@@ -1070,6 +1070,12 @@ impl RouteProxy {
     /// synthesize the same `Unsubscribed` response an in-process shard
     /// renders. Closing the dedicated session is what unsubscribes
     /// upstream — its server reaps the subscription with the connection.
+    ///
+    /// That reaping settles *after* this returns: the upstream drops the
+    /// subscription only when its connection worker next reads EOF on
+    /// the session, so a `stats` or `metrics` sent straight after can
+    /// still count it. The reply here is final; the upstream's gauges
+    /// converge within one worker visit.
     fn proxy_unsubscribe(&self, db: &str, sub: u64, session: &PushSession) -> String {
         let k = self.front.shard_of(db);
         match self

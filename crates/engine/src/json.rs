@@ -306,14 +306,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the unescaped run up to the next `"` or `\` as one slice:
+        // both are ASCII, so the run ends on a char boundary of the
+        // `&str` being parsed and each byte is validated exactly once.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        let text = std::str::from_utf8(&bytes[*pos..*pos + run])
+            .map_err(|_| err(*pos, "invalid UTF-8"))?;
+        out.push_str(text);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
+            Some(_) => {
+                *pos += 1; // the backslash
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -352,14 +363,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte aware).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -464,6 +467,20 @@ mod tests {
             Json::Str("\u{FFFD}X".into())
         );
         assert_eq!(parse(r#""\ude00""#).unwrap(), Json::Str("\u{FFFD}".into()));
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // 2 MiB of plain, multi-byte and escaped text. Validating the
+        // whole rest of the input once per character took over a minute.
+        let chunk = "plain αβγ 😀 \"quoted\" \\ \n\t";
+        let text = chunk.repeat((2 << 20) / chunk.len());
+        let rendered = Json::Str(text.clone()).to_string();
+        let t = std::time::Instant::now();
+        assert_eq!(parse(&rendered).unwrap(), Json::Str(text));
+        assert!(t.elapsed().as_secs() < 5, "{:?}", t.elapsed());
+        assert_eq!(parse("\"abc").unwrap_err().at, 4, "unterminated");
+        assert_eq!(parse(r#""a\q""#).unwrap_err().at, 3, "bad escape");
     }
 
     #[test]

@@ -267,11 +267,12 @@ pub fn serve_scrape<S: LineService + ?Sized>(
         }
     }
     let body = render_prometheus(service);
-    let _ = write!(
-        stream,
+    // One write, as for NDJSON lines (see `crate::server`).
+    let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
+    let _ = stream.write_all(response.as_bytes());
     stream.flush()
 }
 

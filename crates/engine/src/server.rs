@@ -5,6 +5,18 @@
 //! the in-process [`Engine`](crate::Engine) and the multi-process
 //! [`RouteProxy`](crate::RouteProxy), so the same session and accept
 //! loops serve both `ocqa serve` and `ocqa route`.
+//!
+//! # Wire discipline
+//!
+//! Every NDJSON line this crate puts on a socket — replies, pushed
+//! frames, and the router's and replicator's requests upstream — leaves
+//! through [`write_line`] in **one** `write`, on a socket with
+//! `TCP_NODELAY` set (accepted here, dialled in [`crate::upstream`]).
+//! Writing the line and its `\n` separately lets Nagle's algorithm hold
+//! the lone newline until the peer ACKs the first segment, and the peer
+//! delays that ACK by ~40 ms: every reply would pay a 40 ms stall.
+//! Reading stays linear in the line length up to [`MAX_LINE_BYTES`]:
+//! each byte is scanned for the newline once.
 
 use crate::subscribe::PushSession;
 use std::collections::VecDeque;
@@ -98,6 +110,17 @@ pub fn read_frame_limit(input: &mut impl BufRead, max_bytes: u64) -> io::Result<
     }
 }
 
+/// Writes one NDJSON line: `line` and its `\n` in a single `write_all`,
+/// then a flush. The only way a line leaves this crate (see the module
+/// docs for why it must be one write).
+pub fn write_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)?;
+    out.flush()
+}
+
 /// Serves one session: each input line is a request, each output line the
 /// response. Returns when the input ends (or a request line exceeds
 /// [`MAX_LINE_BYTES`]). Blank lines are ignored; non-UTF-8 lines are
@@ -110,14 +133,9 @@ pub fn serve_session<S: LineService + ?Sized>(
     loop {
         let line = match read_frame(&mut input)? {
             Frame::Eof => return Ok(()),
-            Frame::TooLong => {
-                writeln!(output, "{}", line_too_long_reply())?;
-                output.flush()?;
-                return Ok(());
-            }
+            Frame::TooLong => return write_line(&mut output, &line_too_long_reply()),
             Frame::NotUtf8 => {
-                writeln!(output, "{NOT_UTF8_REPLY}")?;
-                output.flush()?;
+                write_line(&mut output, NOT_UTF8_REPLY)?;
                 continue;
             }
             Frame::Line(line) => line,
@@ -125,8 +143,7 @@ pub fn serve_session<S: LineService + ?Sized>(
         if line.trim().is_empty() {
             continue;
         }
-        writeln!(output, "{}", service.serve_line(line.trim_end()))?;
-        output.flush()?;
+        write_line(&mut output, &service.serve_line(line.trim_end()))?;
     }
 }
 
@@ -322,7 +339,8 @@ fn accept_loop<S: LineService + 'static>(
         // A connection we cannot arm is dropped (closed), never enqueued:
         // a worker would otherwise block its full slice on it forever.
         let armed = stream
-            .set_read_timeout(Some(CONN_POLL_TIMEOUT))
+            .set_nodelay(true)
+            .and_then(|()| stream.set_read_timeout(Some(CONN_POLL_TIMEOUT)))
             .and_then(|()| stream.try_clone());
         if let Ok(writer) = armed {
             queue.push(Conn {
@@ -364,9 +382,14 @@ fn close_conn(mut conn: Conn) {
 /// blank lines skipped.
 fn service_slice<S: LineService + ?Sized>(service: &S, conn: &mut Conn) -> Slice {
     let mut buf = [0u8; 4096];
+    // `acc[..scanned]` holds no newline: a visit parks only after
+    // draining every complete line, so each byte is scanned once and a
+    // long line is framed in linear time.
+    let mut scanned = conn.acc.len();
     loop {
-        while let Some(pos) = conn.acc.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = conn.acc.drain(..=pos).collect();
+        while let Some(i) = conn.acc[scanned..].iter().position(|&b| b == b'\n') {
+            let mut line: Vec<u8> = conn.acc.drain(..=scanned + i).collect();
+            scanned = 0; // what followed the newline is unscanned
             line.pop(); // the newline
             if line.last() == Some(&b'\r') {
                 line.pop();
@@ -389,7 +412,10 @@ fn service_slice<S: LineService + ?Sized>(service: &S, conn: &mut Conn) -> Slice
                 }
                 return Slice::Closed;
             }
-            Ok(n) => conn.acc.extend_from_slice(&buf[..n]),
+            Ok(n) => {
+                scanned = conn.acc.len();
+                conn.acc.extend_from_slice(&buf[..n]);
+            }
             Err(e)
                 if matches!(
                     e.kind(),
@@ -442,7 +468,7 @@ fn ensure_notifier(conn: &mut Conn) {
 
 /// Drains a session's push queue onto its socket until the session
 /// closes or the client disappears.
-fn push_notifier_loop(writer: &Mutex<TcpStream>, session: &PushSession) {
+fn push_notifier_loop(writer: &Mutex<impl Write>, session: &PushSession) {
     while let Some(frame) = session.pop_wait() {
         if send_locked(writer, &frame).is_err() {
             // The client is gone; the reader side will see EOF and close
@@ -453,12 +479,11 @@ fn push_notifier_loop(writer: &Mutex<TcpStream>, session: &PushSession) {
     }
 }
 
-fn send_locked(writer: &Mutex<TcpStream>, line: &str) -> io::Result<()> {
+fn send_locked(writer: &Mutex<impl Write>, line: &str) -> io::Result<()> {
     let mut out = writer
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    writeln!(out, "{line}")?;
-    out.flush()
+    write_line(&mut *out, line)
 }
 
 #[cfg(test)]
@@ -473,6 +498,98 @@ mod tests {
             cache_capacity: 8,
             ..EngineConfig::default()
         })
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter(Vec<Vec<u8>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl CountingWriter {
+        /// Everything written, asserting it arrived as exactly one
+        /// `write` per line.
+        fn lines_one_write_each(&self) -> String {
+            for w in &self.0 {
+                assert!(
+                    w.last() == Some(&b'\n') && w.iter().filter(|&&b| b == b'\n').count() == 1,
+                    "a write that is not one whole line: {:?}",
+                    String::from_utf8_lossy(w)
+                );
+            }
+            String::from_utf8(self.0.concat()).unwrap()
+        }
+    }
+
+    #[test]
+    fn session_replies_leave_in_one_write_each() {
+        let engine = engine();
+        let mut input = Vec::new();
+        input.extend_from_slice(b"{\"op\":\"ping\"}\n\n");
+        input.extend_from_slice(b"{\"op\":\"nope\"}\n");
+        input.extend_from_slice(b"\xFF\n");
+        input.extend_from_slice(b"{\"op\":\"ping\"}");
+        let mut out = CountingWriter::default();
+        serve_session(&*engine, &input[..], &mut out).unwrap();
+        let text = out.lines_one_write_each();
+        assert_eq!(out.0.len(), 4, "{text}");
+        assert!(text.contains("pong") && text.contains("not valid UTF-8"));
+    }
+
+    #[test]
+    fn pushed_frames_and_conn_replies_leave_in_one_write_each() {
+        // `send_locked` carries every reply of a pooled TCP session and,
+        // through the notifier, every pushed frame.
+        let writer = Mutex::new(CountingWriter::default());
+        send_locked(&writer, NOT_UTF8_REPLY).unwrap();
+        send_locked(&writer, &line_too_long_reply()).unwrap();
+        let session = PushSession::new();
+        session.push(r#"{"event":"estimate","sub":1}"#.into());
+        session.push(r#"{"event":"closed","sub":1}"#.into());
+        session.close();
+        push_notifier_loop(&writer, &session);
+        let out = writer.into_inner().unwrap();
+        let text = out.lines_one_write_each();
+        assert_eq!(out.0.len(), 4, "{text}");
+        assert!(
+            text.ends_with("{\"event\":\"closed\",\"sub\":1}\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn accepted_sockets_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let server_side = accepted.try_clone().unwrap();
+        let mut inject = Some(accepted);
+        let _ = accept_loop(
+            engine(),
+            move || {
+                inject
+                    .take()
+                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "done"))
+            },
+            1,
+        );
+        (&client).write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&client).read_line(&mut reply).unwrap();
+        assert!(reply.contains("pong"), "{reply}");
+        assert!(
+            server_side.nodelay().unwrap(),
+            "accepted socket left Nagle on"
+        );
     }
 
     #[test]
@@ -501,9 +618,9 @@ mod tests {
         let mut input = vec![b'x'; (MAX_LINE_BYTES + 10) as usize];
         input.push(b'\n');
         input.extend_from_slice(b"{\"op\":\"ping\"}\n");
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         serve_session(&*engine, &input[..], &mut out).unwrap();
-        let text = std::str::from_utf8(&out).unwrap();
+        let text = out.lines_one_write_each();
         assert!(text.contains("longer than"), "{text}");
         assert!(
             !text.contains("pong"),
@@ -523,9 +640,9 @@ mod tests {
         input.extend_from_slice(b"\",\"facts\":\"R(1,1).\"}\n");
         input.extend_from_slice(b"{\"op\":\"list\"}\n");
         input.extend_from_slice(b"{\"op\":\"ping\"}\n");
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         serve_session(&*engine, &input[..], &mut out).unwrap();
-        let text = std::str::from_utf8(&out).unwrap();
+        let text = out.lines_one_write_each();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 3, "{text}");
         assert!(

@@ -38,8 +38,8 @@
 use crate::error::EngineError;
 use crate::json::Json;
 use crate::obs::{HistSnapshot, Histogram};
-use crate::server::{read_frame_limit, Frame};
-use std::io::{BufReader, Write};
+use crate::server::{read_frame_limit, write_line, Frame};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -90,9 +90,7 @@ impl Conn {
 
     /// One request/response exchange on this session.
     fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         match read_frame_limit(&mut self.reader, MAX_RESPONSE_BYTES)? {
             Frame::Line(resp) => Ok(resp),
             Frame::Eof => Err(std::io::Error::new(
@@ -304,9 +302,7 @@ pub struct StreamSession {
 impl StreamSession {
     /// Sends one request line.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        write_line(&mut self.stream, line)
     }
 
     /// Reads one line (a response or a pushed frame) under the upstream
@@ -342,7 +338,7 @@ mod tests {
                         break;
                     }
                     let resp = format!("{{\"echo\":{}}}", line.trim_end().len());
-                    if writeln!(stream, "{resp}").is_err() {
+                    if write_line(&mut stream, &resp).is_err() {
                         break;
                     }
                 }

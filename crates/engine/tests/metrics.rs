@@ -306,12 +306,28 @@ fn subscription_gauges_sum_exactly_once_through_the_router() {
             .handle_open_line(unsub, &direct_session)
             .to_string()
     );
-    for line in [
-        proxy.handle_line(r#"{"op":"stats"}"#),
-        reference.handle_line(r#"{"op":"stats"}"#).to_string(),
-    ] {
+    let subscriptions = |line: String| {
         let v = json::parse(&line).unwrap();
-        assert_eq!(v.get("subscriptions").and_then(|j| j.as_u64()), Some(2));
+        v.get("subscriptions").and_then(|j| j.as_u64())
+    };
+    assert_eq!(
+        subscriptions(reference.handle_line(r#"{"op":"stats"}"#).to_string()),
+        Some(2)
+    );
+    // Through the router the upstream reaps the subscription when its
+    // connection worker next sees the closed session (see
+    // `proxy_unsubscribe`), so the gauge settles rather than drops at once.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let routed = subscriptions(proxy.handle_line(r#"{"op":"stats"}"#));
+        if routed == Some(2) {
+            break;
+        }
+        assert!(
+            routed == Some(3) && std::time::Instant::now() < deadline,
+            "routed subscriptions never settled at 2: {routed:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
 }
 

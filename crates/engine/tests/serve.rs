@@ -305,3 +305,41 @@ fn sessions_see_errors_inline_and_keep_going() {
     let resp = roundtrip(&mut s, &mut r, r#"{"op":"ping"}"#);
     assert!(resp.contains("\"pong\":true"));
 }
+
+#[test]
+fn sequential_requests_pay_no_delayed_ack_stall() {
+    // A plain client socket (Nagle on), each request in one write. A
+    // reply written as line + newline in two writes waits out the
+    // client's ~40 ms delayed ACK: 50 pings took ≈ 2.2 s.
+    let (_engine, addr) = spawn_server(1);
+    let (mut s, mut r) = connect(addr);
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap();
+        assert!(line.contains("\"pong\":true"), "{line}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed.as_millis() < 1000, "50 pings took {elapsed:?}");
+}
+
+#[test]
+fn an_8_mib_line_is_framed_and_parsed_in_linear_time() {
+    // Rescanning the whole buffered line for its newline after every
+    // read, and re-validating the rest of the input per JSON string
+    // character, made this line take minutes.
+    let (_engine, addr) = spawn_server(1);
+    let (mut s, mut r) = connect(addr);
+    let timeout = Some(std::time::Duration::from_secs(10));
+    s.set_write_timeout(timeout).unwrap();
+    r.get_ref().set_read_timeout(timeout).unwrap();
+    let mut line = br#"{"op":"ping","pad":""#.to_vec();
+    line.resize(line.len() + (8 << 20), b'x');
+    line.extend_from_slice(b"\"}\n");
+    s.write_all(&line).unwrap();
+    let mut resp = String::new();
+    r.read_line(&mut resp)
+        .expect("an 8 MiB ping is answered within 10 s");
+    assert!(resp.contains("\"pong\":true"), "{resp}");
+}
