@@ -46,8 +46,7 @@
 use ocqa_bench::key_workload;
 use ocqa_engine::json::Json;
 use ocqa_engine::{
-    Engine, EngineConfig, EngineRequest, EngineResponse, PlanKind, PlannerMode, PushSession,
-    QueryRef,
+    Engine, EngineConfig, EngineRequest, EngineResponse, PlanKind, PushSession, QueryRef,
 };
 use ocqa_workload::{StreamSpec, StreamWorkload};
 use std::sync::Arc;
@@ -140,68 +139,6 @@ fn mean_us(engine: &Engine, iters: u64, mut req: impl FnMut(u64) -> EngineReques
         std::hint::black_box(a);
     }
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
-}
-
-/// Planner adaptivity: a database installed multi-component then drifted
-/// into one giant conflict component (plus a clean fact). The static
-/// classifier stays on localized forever; the cost model flips the
-/// automatic route to monolithic. Reports the cold `answer` latency each
-/// mode serves post-drift, with the plan it actually routed.
-fn planner_adaptivity() -> Json {
-    const FACTS: &str =
-        "Pref(a,b). Pref(b,c). Pref(c,a). Pref(d,e). Pref(e,f). Pref(f,d). Pref(q,r).";
-    const SIGMA: &str = "Pref(x,y), Pref(y,z) -> false.";
-    const DELETE: &str = "Pref(c,a). Pref(d,e). Pref(e,f). Pref(f,d).";
-    const INSERT: &str = "Pref(c,d). Pref(d,e2). Pref(e2,f2). Pref(f2,g). Pref(g,h). \
-         Pref(h,i). Pref(i,j). Pref(j,k). Pref(k,l). Pref(l,a).";
-    const QUERY: &str = "(x) <- exists y: Pref(x,y)";
-
-    let mut out = std::collections::BTreeMap::new();
-    for (label, mode) in [("static", PlannerMode::Static), ("cost", PlannerMode::Cost)] {
-        let engine = Engine::new(EngineConfig {
-            workers: 4,
-            cache_capacity: 256,
-            planner: mode,
-            ..EngineConfig::default()
-        });
-        let resp = engine.handle(EngineRequest::CreateDb {
-            name: "drift".into(),
-            facts: FACTS.into(),
-            constraints: SIGMA.into(),
-        });
-        assert!(matches!(resp, EngineResponse::Created(_)), "create failed");
-        let resp = engine.handle(EngineRequest::Delete {
-            db: "drift".into(),
-            facts: DELETE.into(),
-        });
-        assert!(matches!(resp, EngineResponse::Updated(_)), "drift failed");
-        let resp = engine.handle(EngineRequest::Insert {
-            db: "drift".into(),
-            facts: INSERT.into(),
-        });
-        assert!(matches!(resp, EngineResponse::Updated(_)), "drift failed");
-        let req = |seed: u64| EngineRequest::Answer {
-            db: "drift".into(),
-            query: QueryRef::Text(QUERY.into()),
-            generator: "uniform".into(),
-            eps: 0.1,
-            delta: 0.1,
-            seed,
-            plan: None,
-        };
-        let EngineResponse::Answer(first) = engine.handle(req(1)) else {
-            panic!("drift answer failed");
-        };
-        let cold_us = mean_us(&engine, COLD_ITERS, |i| req(2000 + i));
-        out.insert(
-            label.to_string(),
-            Json::obj([
-                ("plan", Json::from(first.plan.as_str())),
-                ("cold_us", Json::Num((cold_us * 100.0).round() / 100.0)),
-            ]),
-        );
-    }
-    Json::Obj(out)
 }
 
 /// Streaming: one subscriber over the seeded fact stream. Dirty steps
@@ -467,7 +404,6 @@ fn main() {
             ]),
         ),
         ("plans", Json::Obj(plans)),
-        ("planner_adaptivity", planner_adaptivity()),
         ("rebalance", rebalance()),
         ("streaming", streaming()),
         ("saturation", saturation()),

@@ -6,9 +6,10 @@
 //!   ocqa repairs  --facts FILE --constraints FILE [--generator NAME] [--max-states N]
 //!   ocqa answer   --facts FILE --constraints FILE --query TEXT
 //!                 [--generator NAME] [--exact | --eps E --delta D] [--seed N]
+//!                 [--max-states N]
 //!   ocqa trace    --facts FILE --constraints FILE [--generator NAME] [--seed N]
 //!   ocqa serve    [--listen ADDR] [--workers N] [--conn-workers N] [--cache N]
-//!                 [--planner cost|static|off] [--shards N] [--ttl-ms MS]
+//!                 [--planner cost] [--shards N] [--ttl-ms MS]
 //!                 [--max-inflight N] [--max-subs-per-conn N] [--data-dir PATH]
 //!                 [--group-commit-us US] [--slow-ms MS] [--metrics-addr ADDR]
 //!                 [--replicate-to HOST:PORT]
@@ -17,6 +18,7 @@
 //!                 [--conn-workers N] [--slow-ms MS] [--max-subs-per-conn N]
 //!                 [--metrics-addr ADDR]
 //!   ocqa snapshot --data-dir PATH [--db NAME]
+//!   ocqa <command> --help
 //!
 //! GENERATORS: uniform (default) | uniform-deletions | preference
 //!             | trust | trust:N/D
@@ -30,7 +32,11 @@
 //! catalog is durable: every mutation is journaled to a write-ahead log
 //! before it is acknowledged — one `shard-<k>/` store (LOCK, WAL,
 //! snapshots) per shard — and a restarted server recovers every shard
-//! exactly, answering bit-identically to the killed process. `snapshot`
+//! exactly, answering bit-identically to the killed process. Automatic
+//! answers always take the cheapest feasible plan by analytic step
+//! count; `--planner cost` names that policy and is accepted only so
+//! existing launch lines keep working (a request pins any other plan
+//! with `"plan"`). `snapshot`
 //! compacts such a directory offline (folds each shard's WAL into fresh
 //! per-database snapshot files and truncates it).
 //!
@@ -238,12 +244,12 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: ocqa <check|repairs|answer|trace|serve|route|snapshot>\n  \
+    "usage: ocqa <check|repairs|answer|trace|serve|route|snapshot> [--help]\n  \
      check|repairs|answer|trace: --facts FILE --constraints FILE \
      [--query TEXT] [--generator uniform|uniform-deletions|preference] \
      [--exact | --eps E --delta D] [--seed N] [--max-states N]\n  \
      serve: [--listen HOST:PORT] [--workers N] [--conn-workers N] \
-     [--cache ENTRIES] [--planner cost|static|off] [--shards N] [--ttl-ms MS] \
+     [--cache ENTRIES] [--planner cost] [--shards N] [--ttl-ms MS] \
      [--max-inflight N] [--max-subs-per-conn N] [--data-dir PATH] \
      [--group-commit-us US] [--slow-ms MS] [--metrics-addr HOST:PORT] \
      [--replicate-to HOST:PORT]\n  \
@@ -348,9 +354,13 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             .filter(|n| *n > 0)
             .ok_or("--cache expects a positive number")?;
     }
-    if let Some(mode) = args.options.get("planner") {
-        config.planner =
-            ocqa_engine::PlannerMode::parse(mode).ok_or("--planner expects cost, static or off")?;
+    // One plan policy remains; its name is still accepted so existing
+    // launch lines keep starting.
+    if let Some(mode) = args.options.get("planner").filter(|mode| *mode != "cost") {
+        return Err(format!(
+            "--planner {mode} is no longer supported: automatic answers always take \
+             the cheapest feasible plan; pin one per request with \"plan\":\"monolithic\""
+        ));
     }
     if let Some(n) = args.options.get("shards") {
         config.shards = n
@@ -790,4 +800,72 @@ fn answer_cmd(ctx: &Arc<RepairContext>, args: &Args) -> Result<(), String> {
 fn fmt_tuple(tuple: &[ocqa_data::Constant]) -> String {
     let parts: Vec<String> = tuple.iter().map(|c| c.to_string()).collect();
     format!("({})", parts.join(", "))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The `--name` tokens of a usage text.
+    fn names(text: &str) -> BTreeSet<String> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                rest.chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn spec_names(spec: &CommandSpec) -> BTreeSet<String> {
+        [spec.options, spec.multi, spec.flags]
+            .concat()
+            .into_iter()
+            .map(String::from)
+            .collect()
+    }
+
+    /// The module doc's USAGE block, one entry per `ocqa <command>` line
+    /// with its continuation lines appended.
+    fn doc_usage() -> Vec<(String, String)> {
+        let mut blocks: Vec<(String, String)> = Vec::new();
+        let lines = include_str!("main.rs")
+            .lines()
+            .map_while(|line| line.strip_prefix("//!"))
+            .skip_while(|line| line.trim() != "USAGE:")
+            .skip(1)
+            .take_while(|line| !line.trim().is_empty());
+        for line in lines {
+            match line.trim().strip_prefix("ocqa ") {
+                Some(rest) => {
+                    let command = rest.split_whitespace().next().unwrap_or_default();
+                    blocks.push((command.to_string(), rest.to_string()));
+                }
+                None => blocks.last_mut().expect("a command line first").1 += line,
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn usage_texts_name_exactly_the_parsed_options() {
+        let all: BTreeSet<String> = COMMANDS.iter().flat_map(spec_names).collect();
+        assert_eq!(names(&usage()), all, "usage()");
+        let doc = doc_usage();
+        let documented: BTreeSet<String> = doc.iter().flat_map(|(_, text)| names(text)).collect();
+        assert_eq!(documented, all, "module-doc USAGE block");
+        // Per command, the doc lists exactly what the parser accepts
+        // (`--help`, shared by every command, has a line of its own).
+        for spec in COMMANDS {
+            let (_, text) = doc
+                .iter()
+                .find(|(command, _)| command == spec.name)
+                .unwrap_or_else(|| panic!("{} missing from the USAGE block", spec.name));
+            let mut expected = spec_names(spec);
+            expected.remove("help");
+            assert_eq!(names(text), expected, "ocqa {}", spec.name);
+        }
+    }
 }

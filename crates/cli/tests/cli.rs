@@ -199,6 +199,33 @@ fn exact_conflicts_with_sampling_options() {
 }
 
 #[test]
+fn planner_flag_accepts_only_cost() {
+    for mode in ["static", "off"] {
+        let (_, stderr, ok) = ocqa(&["serve", "--planner", mode]);
+        assert!(!ok, "--planner {mode} must be refused");
+        assert!(stderr.contains("\"plan\""), "stderr: {stderr}");
+    }
+    // `cost` names the one policy and still starts a server.
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ocqa"))
+        .args(["serve", "--planner", "cost", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ocqa serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"pong\":true"));
+}
+
+#[test]
 fn serve_answers_over_stdio() {
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_ocqa"))

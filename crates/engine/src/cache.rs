@@ -324,21 +324,6 @@ impl AnswerCache {
         self.stats
     }
 
-    /// The `max` most-recently-used keys, hottest first — the bounded
-    /// list the shard journals so a restart can pre-warm the entries
-    /// clients touch first. Recency (not hit count) is the ranking: the
-    /// LRU order is exactly what the cache itself believes is hot.
-    pub fn hot_keys(&self, max: usize) -> Vec<CacheKey> {
-        let mut entries: Vec<(&CacheKey, u64)> = self
-            .slots
-            .iter()
-            .map(|(k, slot)| (k, slot.last_used))
-            .collect();
-        entries.sort_unstable_by_key(|(_, last_used)| std::cmp::Reverse(*last_used));
-        entries.truncate(max);
-        entries.into_iter().map(|(k, _)| k.clone()).collect()
-    }
-
     /// Number of retained invalidation floors (test observability).
     #[cfg(test)]
     fn floors_len(&self) -> usize {
@@ -519,20 +504,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert!(forever.get(&key("db", 1, 0)).is_some());
         assert_eq!(forever.stats().expired, 0);
-    }
-
-    #[test]
-    fn hot_keys_rank_by_recency_and_bound() {
-        let mut cache = AnswerCache::new(8);
-        cache.insert(key("a", 1, 0), tally(1));
-        cache.insert(key("b", 1, 0), tally(2));
-        cache.insert(key("c", 1, 0), tally(3));
-        cache.get(&key("a", 1, 0)); // a becomes hottest
-        let hot = cache.hot_keys(2);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].db, "a");
-        assert_eq!(hot[1].db, "c");
-        assert_eq!(cache.hot_keys(10).len(), 3, "bound caps, never pads");
     }
 
     #[test]

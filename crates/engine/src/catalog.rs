@@ -443,8 +443,9 @@ impl Catalog {
             .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))
     }
 
-    /// The maintained conflict-structure statistics of a database (the
-    /// cost model's stats feed; current as of the entry's version).
+    /// The maintained conflict-structure statistics of a database (what
+    /// the planner's analytic costs read; current as of the entry's
+    /// version).
     pub fn stats(&self, name: &str) -> Result<DbStats, EngineError> {
         self.entries
             .get(name)

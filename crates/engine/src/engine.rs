@@ -29,7 +29,6 @@
 use crate::error::EngineError;
 use crate::frontdoor::{parse_request, route_of, FrontDoor, RouteTarget};
 use crate::json::Json;
-use crate::planner::PlannerMode;
 use crate::proto::{EngineRequest, EngineResponse, EngineStatsPayload, QueryRef};
 use crate::server::LineService;
 use crate::shard::ShardEngine;
@@ -53,11 +52,6 @@ pub struct EngineConfig {
     /// a client-supplied tiny ε/δ would make `sample_size` astronomical
     /// and one request could pin every worker (and the job queue) forever.
     pub max_walks: u64,
-    /// How automatic answers pick their plan: the adaptive cost model
-    /// (the default), the v1 structural classifier, or pinned to
-    /// monolithic. Explicit per-request `plan` overrides bypass the mode
-    /// entirely. See [`PlannerMode`].
-    pub planner: PlannerMode,
     /// Number of shards the catalog is partitioned over (min 1).
     pub shards: usize,
     /// Per-entry answer-cache time-to-live in milliseconds; `0` disables
@@ -88,7 +82,6 @@ impl Default for EngineConfig {
                 .unwrap_or(4),
             cache_capacity: 1024,
             max_walks: 1_000_000,
-            planner: PlannerMode::Cost,
             shards: 1,
             ttl_ms: 0,
             max_inflight: 1024,
@@ -1063,35 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_disabled_pins_automatic_answers_to_monolithic() {
-        let e = Engine::new(EngineConfig {
-            workers: 2,
-            cache_capacity: 64,
-            planner: PlannerMode::Off,
-            ..EngineConfig::default()
-        });
-        create_kv(&e);
-        let req = |plan: Option<PlanKind>| EngineRequest::Answer {
-            db: "kv".into(),
-            query: QueryRef::Text("(x) <- exists y: R(x,y)".into()),
-            generator: "uniform".into(),
-            eps: 0.1,
-            delta: 0.1,
-            seed: 1,
-            plan,
-        };
-        let EngineResponse::Answer(a) = e.handle(req(None)) else {
-            panic!()
-        };
-        assert_eq!(a.plan, PlanKind::Monolithic);
-        // Explicit plan requests still work with the planner off.
-        let EngineResponse::Answer(a) = e.handle(req(Some(PlanKind::KeyRepair))) else {
-            panic!()
-        };
-        assert_eq!(a.plan, PlanKind::KeyRepair);
-    }
-
-    #[test]
     fn vetoing_backend_blocks_mutations() {
         use crate::image::DbImage;
         use crate::storage::{RecoveredState, StorageBackend, UpdateDelta};
@@ -1208,7 +1172,6 @@ mod tests {
             ],
             prepared_next: 5,
             next_version: 9, // a dropped db once used 8 and 9
-            ..RecoveredState::empty()
         };
         let e = Engine::with_backend(
             EngineConfig {

@@ -120,10 +120,7 @@ pub use frontdoor::{
 pub use image::DbImage;
 pub use obs::expo::{render_prometheus, spawn_exposition_listener};
 pub use obs::{HistSnapshot, Histogram, MetricsSnapshot, ShardMetrics, SlowLog};
-pub use planner::{
-    classify, feasibility_gate, Candidate, CostModel, CostSource, DbPlan, DbStats, Estimate,
-    PlanKind, PlannerMode, SampleTask,
-};
+pub use planner::{classify, feasibility_gate, Candidate, DbPlan, DbStats, PlanKind, SampleTask};
 pub use pool::{derive_seed, SamplerPool, CHUNK_WALKS};
 pub use prepared::{PreparedQuery, PreparedRegistry};
 pub use proto::{
@@ -136,9 +133,7 @@ pub use server::{
 };
 pub use shard::{ShardEngine, ShardStats};
 pub use singleflight::SingleFlight;
-pub use storage::{
-    FeedbackImage, HotKey, MemoryBackend, PlanFeedback, RecoveredState, StorageBackend, UpdateDelta,
-};
+pub use storage::{MemoryBackend, RecoveredState, StorageBackend, UpdateDelta};
 pub use subscribe::{PushOutcome, PushSession, Subscription, SubscriptionRegistry};
 pub use transfer::{decode_image, encode_image};
 pub use upstream::Upstream;

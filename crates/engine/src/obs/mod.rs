@@ -3,8 +3,8 @@
 //!
 //! The serving stack (front door → router → shard, PRs 3–5) emitted
 //! only a flat counter blob through `stats`. This module family adds the
-//! runtime-feedback feed the cost-based planner v2 needs and operators
-//! ask for first:
+//! latency feed operators ask for first. It is observation only: no
+//! recorded value ever feeds back into plan choice or an answer.
 //!
 //! * [`hist`] — lock-free log2-bucket latency [`Histogram`]s whose
 //!   snapshots merge bucket-wise (associatively, so aggregation order
@@ -42,7 +42,7 @@ use std::time::Duration;
 
 /// Protocol operations a shard serves (front-door-only ops like `ping`,
 /// `list` and `stats` are not timed — they never touch shard state that
-/// planner v2 or an operator would tune).
+/// an operator would tune).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `answer` — the sampling hot path.

@@ -26,21 +26,17 @@
 //! may take the fast paths, so e.g. the Example 4 preference generator —
 //! whose weights read the whole database — always serves monolithically.
 //!
-//! Since planner v2, structural soundness is only the *feasibility* half
-//! of plan choice: among the feasible plans, [`cost::CostModel`] ranks
-//! candidates from catalog-maintained [`stats::DbStats`] plus recorded
-//! runtime feedback, and the shard serves the cheapest. This module
-//! keeps the v1 classifier and routing (reachable as `--planner static`
-//! and used for explicit plan overrides); [`stats`] and [`cost`] hold
-//! the v2 layers.
+//! Structural soundness is only the *feasibility* half of plan choice:
+//! among the feasible plans, automatic routing serves the one with the
+//! fewest analytic steps ([`cost`]) computed from the catalog-maintained
+//! [`stats::DbStats`]. The choice is a pure function of the database
+//! version and the generator's capabilities, so an answer's bytes never
+//! depend on timing or on traffic to other databases.
 
 pub mod cost;
 pub mod stats;
 
-pub use cost::{
-    feasibility_gate, Candidate, CostModel, CostSource, Estimate, PlannerMode,
-    FEEDBACK_JOURNAL_EVERY,
-};
+pub use cost::{feasibility_gate, Candidate};
 pub use stats::DbStats;
 
 use crate::error::EngineError;
@@ -123,9 +119,9 @@ pub struct KeyRepairExec {
 /// the data-dependent sampler artifacts — conflict-component
 /// sub-contexts, violating key groups with their exact outcome
 /// distributions — are built lazily, memoized per route, the first time
-/// a request actually takes that route. A monolithic-only workload (the
-/// planner disabled, or non-component-local generators) therefore never
-/// pays for them, however often the database is updated.
+/// a request actually takes that route. A monolithic-only workload
+/// (explicit monolithic pins, or non-component-local generators)
+/// therefore never pays for them, however often the database is updated.
 pub struct DbPlan {
     kind: PlanKind,
     /// Whether `Σ` is in the denial fragment — the `localized` route is
@@ -209,36 +205,6 @@ impl DbPlan {
         self.stats
     }
 
-    /// Whether the localized route is structurally available (`Σ` in the
-    /// denial fragment — key-only sets included).
-    pub fn admits_localized(&self) -> bool {
-        self.denial
-    }
-
-    /// Whether the key-repair route is structurally available (`Σ`
-    /// primary-key-only).
-    pub fn admits_key_repair(&self) -> bool {
-        self.key_configs.is_some()
-    }
-
-    /// The cost-model guard behind automatic `localized` routing: per-walk,
-    /// localization wins by (a) walking Σ-sized component chains instead of
-    /// the Π-sized global one and (b) cloning component sub-databases
-    /// instead of the whole database. When the conflict graph collapses
-    /// into a **single component with no clean region**, both advantages
-    /// vanish — the one component *is* the whole database — and the
-    /// localized path only adds overlay bookkeeping on top of the same
-    /// walk. Automatic routing then falls back to monolithic; an explicit
-    /// `plan:"localized"` request is still honored (benchmarks and tests
-    /// force routes deliberately).
-    ///
-    /// Since planner v2 the verdict reads the catalog-maintained
-    /// [`DbStats`] (component count, clean-region size) instead of
-    /// materializing the conflict components per snapshot.
-    fn localize_worthwhile(&self) -> bool {
-        self.stats.localize_worthwhile()
-    }
-
     /// The structural classification.
     pub fn kind(&self) -> PlanKind {
         self.kind
@@ -246,9 +212,10 @@ impl DbPlan {
 
     /// Resolves the route an `answer` request takes. `requested` is the
     /// client's explicit plan choice (`None` = automatic): automatic
-    /// routing silently falls back to monolithic for generators a fast
-    /// path cannot serve, while an explicit request for an unsound route
-    /// is an error (clients forcing a plan — benches, tests — must know).
+    /// routing serves the cheapest feasible plan by analytic steps
+    /// (see [`cost`]), while an explicit request for an unsound
+    /// route is an error (clients forcing a plan — benches, tests — must
+    /// know).
     ///
     /// Fast-path soundness is read off the generator itself
     /// ([`ChainGenerator::component_local`] for localization,
@@ -261,28 +228,7 @@ impl DbPlan {
         requested: Option<PlanKind>,
     ) -> Result<PlanKind, EngineError> {
         match requested {
-            None => {
-                let auto = if !gen.component_local() {
-                    PlanKind::Monolithic
-                } else if self.kind == PlanKind::KeyRepair && gen.key_repair_policy().is_none() {
-                    // Component-local but without a group policy matching
-                    // its chain: key-only sets are still denial, so
-                    // localize.
-                    PlanKind::Localized
-                } else {
-                    self.kind
-                };
-                // Cost model: localization on one giant component with no
-                // clean region pays the fast path's overhead for none of
-                // its savings — serve monolithically instead.
-                Ok(
-                    if auto == PlanKind::Localized && !self.localize_worthwhile() {
-                        PlanKind::Monolithic
-                    } else {
-                        auto
-                    },
-                )
-            }
+            None => Ok(cost::cheapest(&self.candidates(gen))),
             // Forced monolithic is the universal fallback: always sound,
             // no availability or capability check applies.
             Some(PlanKind::Monolithic) => Ok(PlanKind::Monolithic),
@@ -609,9 +555,9 @@ mod tests {
                 Ok(vec![ocqa_num::Rat::ratio(1, ops.len() as i64); ops.len()])
             }
         }
-        // On the single-pair database the cost guard kicks in (one
-        // component, no clean region), so the localized fallback lands on
-        // monolithic; with a second group it localizes.
+        // On the single-pair database (one component, no clean region)
+        // the monolithic walk is cheaper than the localized fallback;
+        // with a second group it localizes.
         assert_eq!(plan.route(&LocalNoKey, None).unwrap(), PlanKind::Monolithic);
         assert!(plan.route(&LocalNoKey, Some(PlanKind::KeyRepair)).is_err());
         let multi_ctx = ctx(
@@ -671,7 +617,7 @@ mod tests {
         assert_eq!(
             plan.route(by_name("uniform").as_ref(), None).unwrap(),
             PlanKind::Monolithic,
-            "automatic routing takes the cost-model fallback"
+            "automatic routing takes the cheaper monolithic walk"
         );
         // An explicit localized request still works (forced routes are for
         // callers that know what they measure).
@@ -681,17 +627,24 @@ mod tests {
             PlanKind::Localized
         );
 
-        // One clean fact tips the model back: the clean region is shared
-        // by all walks and never cloned on the localized path.
-        let with_clean = ctx(
-            "Pref(a,b). Pref(b,c). Pref(c,a). Pref(q,r).",
-            "Pref(x,y), Pref(y,z) -> false.",
-        );
-        let plan = DbPlan::build(&with_clean);
-        assert_eq!(
-            plan.route(by_name("uniform").as_ref(), None).unwrap(),
-            PlanKind::Localized
-        );
+        // A clean region is cloned per step on the monolithic path and
+        // never on the localized one: one clean fact does not pay for the
+        // overlay (16 vs 20 steps), three do (24 vs 20).
+        for (clean, expected) in [
+            ("Pref(q,r).", PlanKind::Monolithic),
+            ("Pref(q,r). Pref(s,t). Pref(u,v).", PlanKind::Localized),
+        ] {
+            let with_clean = ctx(
+                &format!("Pref(a,b). Pref(b,c). Pref(c,a). {clean}"),
+                "Pref(x,y), Pref(y,z) -> false.",
+            );
+            let plan = DbPlan::build(&with_clean);
+            assert_eq!(
+                plan.route(by_name("uniform").as_ref(), None).unwrap(),
+                expected,
+                "{clean}"
+            );
+        }
 
         // Two components localize regardless of clean facts.
         let two = ctx(

@@ -1,11 +1,11 @@
-//! Per-database statistics for the cost-based planner.
+//! Per-database statistics for the planner's analytic costs.
 //!
 //! [`DbStats`] summarizes the conflict structure of one catalog entry —
 //! fact count, conflict-component count and size distribution, violating
 //! group count, clean-region size — cheaply enough to recompute on every
 //! install/update/drop. The [`crate::catalog::Catalog`] keeps a stats
 //! value current per entry (it changes exactly when the version bumps),
-//! so the cost model never recomputes statistics per request and never
+//! so the planner never recomputes statistics per request and never
 //! needs a sampling snapshot ([`ocqa_core::RepairContext`]) to score a
 //! plan: the component structure is derived directly from the maintained
 //! violation set with a local union-find over violation body images,
@@ -38,7 +38,7 @@ pub struct DbStats {
     /// Nearest-rank 95th percentile of the component-size distribution
     /// (0 when there are no components). Together with
     /// [`largest_component`](Self::largest_component) this exposes the
-    /// distribution's *tail* to the cost model: the localized plan's
+    /// distribution's *tail* to the analytic costs: the localized plan's
     /// wall-clock is gated by its straggler components, which a
     /// sum-of-squares aggregate hides when one giant component sits
     /// among many small ones.
@@ -124,15 +124,6 @@ impl DbStats {
             violations: violations.len() as u64,
         }
     }
-
-    /// The static planner's localization guard, computed from stats
-    /// instead of a snapshot: localization is worthwhile unless the
-    /// conflict graph is a single component with no clean region (the
-    /// component then *is* the database, and the localized path only
-    /// adds overlay bookkeeping to the same walk).
-    pub fn localize_worthwhile(&self) -> bool {
-        self.components != 1 || self.clean_facts > 0
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +155,6 @@ mod tests {
         assert_eq!(s.sum_sq_component, 8);
         assert_eq!(s.p95_component, 2);
         assert!(s.violations >= 2);
-        assert!(s.localize_worthwhile());
     }
 
     #[test]
@@ -177,15 +167,13 @@ mod tests {
         assert_eq!(s.components, 1);
         assert_eq!(s.largest_component, 3);
         assert_eq!(s.clean_facts, 0);
-        assert!(!s.localize_worthwhile());
-        // One clean fact flips the guard.
+        // One clean fact leaves the single component in place.
         let s = stats(
             "Pref(a,b). Pref(b,c). Pref(c,a). Pref(q,r).",
             "Pref(x,y), Pref(y,z) -> false.",
         );
         assert_eq!(s.components, 1);
         assert_eq!(s.clean_facts, 1);
-        assert!(s.localize_worthwhile());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::catalog::{DatabaseInfo, UpdateOutcome};
 use crate::error::EngineError;
 use crate::json::Json;
 use crate::obs::MetricsSnapshot;
-use crate::planner::{Candidate, DbStats, PlanKind, PlannerMode};
+use crate::planner::{Candidate, DbStats, PlanKind};
 use ocqa_data::Constant;
 
 /// How an `answer` request names its query.
@@ -481,14 +481,12 @@ pub struct ExplainPayload {
     pub db: String,
     /// The database version the decision applies to.
     pub version: u64,
-    /// The shard's planner mode (`off`, `static`, `cost`).
-    pub mode: PlannerMode,
     /// The plan an automatic answer serves right now.
     pub chosen: PlanKind,
     /// Every plan's verdict, in registry order (key-repair, localized,
     /// monolithic).
     pub candidates: Vec<Candidate>,
-    /// The catalog-maintained statistics the prior costs derive from.
+    /// The catalog-maintained statistics the costs derive from.
     pub stats: DbStats,
 }
 
@@ -703,7 +701,6 @@ impl EngineResponse {
                 ("ok", true.into()),
                 ("db", Json::from(x.db.clone())),
                 ("db_version", Json::from(x.version)),
-                ("mode", Json::from(x.mode.as_str())),
                 ("chosen", Json::from(x.chosen.as_str())),
                 (
                     "candidates",
@@ -716,7 +713,6 @@ impl EngineResponse {
                                     ("feasible", Json::from(c.feasible)),
                                     ("gate", c.gate.map(Json::from).unwrap_or(Json::Null)),
                                     ("cost", Json::from(c.cost)),
-                                    ("source", Json::from(c.source.as_str())),
                                 ])
                             })
                             .collect(),

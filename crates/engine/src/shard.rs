@@ -47,25 +47,20 @@ use crate::engine::{generator_by_name, EngineConfig};
 use crate::error::EngineError;
 use crate::image::DbImage;
 use crate::json::Json;
-use crate::obs::{HistSnapshot, MetricsSnapshot, Op, ShardMetrics, SlowLog, Stage, PLANS};
-use crate::planner::{CostModel, PlanKind, PlannerMode, FEEDBACK_JOURNAL_EVERY};
+use crate::obs::{MetricsSnapshot, Op, ShardMetrics, SlowLog, Stage};
+use crate::planner::PlanKind;
 use crate::pool::SamplerPool;
 use crate::prepared::{PreparedQuery, PreparedRegistry};
 use crate::proto::{AnswerPayload, AnswerRow, ExplainPayload, QueryRef};
 use crate::singleflight::{Join, SingleFlight};
-use crate::storage::{FeedbackImage, HotKey, PlanFeedback, StorageBackend};
+use crate::storage::StorageBackend;
 use crate::subscribe::{self, PushOutcome, PushSession, Subscription, SubscriptionRegistry};
 use ocqa_core::sample::{sample_size, SampleTally};
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-
-/// How many answer-cache keys the feedback journal retains per shard —
-/// the bounded pre-warm list a restarted shard replays on first touch.
-pub const MAX_HOT_KEYS: usize = 32;
 
 /// Per-shard serving counters, summed by the front door's `stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,19 +101,7 @@ pub struct ShardEngine {
     inflight: AtomicU64,
     max_inflight: u64,
     max_walks: u64,
-    planner: PlannerMode,
-    /// The cost model: learned per-(db, plan) estimates plus memoized
-    /// decisions. Fed on every leader success (whatever the mode, so a
-    /// `--planner static` A/B run still accumulates evidence) and
-    /// journaled every [`FEEDBACK_JOURNAL_EVERY`] observations.
-    cost: CostModel,
-    /// Recovered hot cache keys awaiting replay, grouped per database;
-    /// drained on the first answer touching the database.
-    warm: Mutex<HashMap<String, Vec<HotKey>>>,
-    /// Fast guard for `warm` (true while any list remains), so the
-    /// answer hot path pays one relaxed load, not a mutex.
-    has_warm: AtomicBool,
-    /// Self-reference for the detached pre-warm thread.
+    /// Self-reference for subscription teardown callbacks.
     self_ref: Weak<ShardEngine>,
     answers: AtomicU64,
     walks: AtomicU64,
@@ -188,23 +171,6 @@ impl ShardEngine {
         let mut prepared = PreparedRegistry::new();
         prepared.restore(state.prepared, state.prepared_next)?;
         let ttl = (config.ttl_ms > 0).then(|| Duration::from_millis(config.ttl_ms));
-        // Resume the learned cost estimates and stage the recovered hot
-        // keys for lazy replay (all fallible recovery work is done by
-        // here — `new_cyclic` only wires the self-reference the pre-warm
-        // thread needs).
-        let cost = CostModel::new();
-        cost.restore(
-            state
-                .feedback
-                .estimates
-                .iter()
-                .map(|f| (f.db.clone(), f.estimates)),
-        );
-        let mut warm: HashMap<String, Vec<HotKey>> = HashMap::new();
-        for key in state.feedback.hot_keys {
-            warm.entry(key.db.clone()).or_default().push(key);
-        }
-        let has_warm = !warm.is_empty();
         Ok(Arc::new_cyclic(|self_ref| ShardEngine {
             id,
             catalog: RwLock::new(catalog),
@@ -216,10 +182,6 @@ impl ShardEngine {
             inflight: AtomicU64::new(0),
             max_inflight: config.max_inflight as u64,
             max_walks: config.max_walks.max(1),
-            planner: config.planner,
-            cost,
-            warm: Mutex::new(warm),
-            has_warm: AtomicBool::new(has_warm),
             self_ref: self_ref.clone(),
             answers: AtomicU64::new(0),
             walks: AtomicU64::new(0),
@@ -324,12 +286,6 @@ impl ShardEngine {
         // starts at a strictly higher global version, so its entries pass
         // while any in-flight answer against the dropped one is rejected.
         self.cache.lock().invalidate_db(name, version + 1);
-        // Learned costs and staged pre-warm keys describe the dropped
-        // incarnation's data; a future namesake must start from priors.
-        self.cost.forget_db(name);
-        if self.has_warm.load(Ordering::Relaxed) {
-            self.warm.lock().remove(name);
-        }
         // Continuous queries over the dropped database end here: each
         // subscriber gets a terminal `"event":"closed"` frame (after the
         // cache floor, so a post-frame `answer` can't see stale state).
@@ -453,27 +409,11 @@ impl ShardEngine {
             QueryRef::Prepared(id) => self.prepared.read().get(id)?,
         };
         let gen = generator_by_name(generator)?;
-        self.trigger_prewarm(db);
         let (_ctx, version, plan) = self.catalog.read().snapshot(db)?;
-        // Resolve the route. Explicit requests are validated (unsound
-        // forces are errors, not silent fallbacks) and bypass the model;
-        // automatic requests go by mode — `off` pins monolithic, `static`
-        // is the v1 structural classifier, `cost` asks the model for the
-        // cheapest feasible plan (memoized per catalog version, so the
-        // expensive inputs closure runs only on a re-decision).
-        let route = match plan_request {
-            Some(_) => plan.route(gen.as_ref(), plan_request)?,
-            None => match self.planner {
-                PlannerMode::Off => PlanKind::Monolithic,
-                PlannerMode::Static => plan.route(gen.as_ref(), None)?,
-                PlannerMode::Cost => {
-                    self.cost
-                        .choose(db, version, &plan, gen.as_ref(), &plan.stats(), || {
-                            (self.plan_histograms(), self.cache_hit_permille())
-                        })
-                }
-            },
-        };
+        // Explicit requests are validated (unsound forces are errors, not
+        // silent fallbacks); automatic ones take the cheapest feasible
+        // plan for this version.
+        let route = plan.route(gen.as_ref(), plan_request)?;
         let key = CacheKey {
             db: db.to_string(),
             version,
@@ -604,23 +544,10 @@ impl ShardEngine {
         // must inflate neither `answers` nor `walks`.
         self.walks.fetch_add(walks, Ordering::Relaxed);
         self.answers.fetch_add(1, Ordering::Relaxed);
-        let sample_us = trace.sample.as_micros().min(u128::from(u64::MAX)) as u64;
         // Insert into the cache *before* retiring the flight: a caller
         // that misses the retired flight is guaranteed to hit the cache.
         let stats = self.store_answer(key, tally.clone());
         token.complete(Ok(tally.clone()));
-        // Close the loop: fold the observed walk cost into the decayed
-        // per-(db, plan) estimate — whatever the planner mode, so a
-        // `--planner static` A/B run still accumulates evidence — and
-        // journal the feedback image periodically (best-effort; learned
-        // costs are an optimization, never worth vetoing the answer).
-        // After `token.complete`, so the WAL fsync never extends the
-        // window followers wait on, and the image includes this answer's
-        // freshly inserted key.
-        let observed = self.cost.observe(db, route, sample_us);
-        if observed.is_multiple_of(FEEDBACK_JOURNAL_EVERY) {
-            self.journal_feedback();
-        }
         self.observe_answer(t0.elapsed(), db, route, false, false, trace);
         Ok(self.payload(&tally, false, false, version, stats, route))
     }
@@ -707,54 +634,20 @@ impl ShardEngine {
         snap
     }
 
-    /// The per-plan latency snapshot in registry order — the cost
-    /// model's metrics-tier input.
-    fn plan_histograms(&self) -> [HistSnapshot; PLANS.len()] {
-        self.metrics.snapshot().plans
-    }
-
-    /// The answer cache's hit rate (hits over lookups, permille) — the
-    /// cost model's switch-hysteresis input.
-    fn cache_hit_permille(&self) -> u64 {
-        let s = self.cache.lock().stats();
-        (s.hits * 1000).checked_div(s.hits + s.misses).unwrap_or(0)
-    }
-
     /// Explains the planner's decision for one database × generator:
     /// the plan an automatic answer would serve right now, with every
-    /// candidate's feasibility verdict and cost estimate, plus the
-    /// catalog-maintained statistics the estimates derive from.
+    /// candidate's feasibility verdict and analytic step count, plus the
+    /// catalog-maintained statistics the counts derive from.
     pub fn explain(&self, db: &str, generator: &str) -> Result<ExplainPayload, EngineError> {
         let gen = generator_by_name(generator)?;
         let (_ctx, version, plan) = self.catalog.read().snapshot(db)?;
-        let stats = plan.stats();
-        let plan_hists = self.plan_histograms();
-        let hit_rate = self.cache_hit_permille();
-        let candidates = self.cost.candidates(
-            db,
-            &plan,
-            gen.as_ref(),
-            &stats,
-            &plan_hists,
-            self.cost.incumbent(db),
-            hit_rate,
-        );
-        let chosen = match self.planner {
-            PlannerMode::Off => PlanKind::Monolithic,
-            PlannerMode::Static => plan.route(gen.as_ref(), None)?,
-            PlannerMode::Cost => self
-                .cost
-                .choose(db, version, &plan, gen.as_ref(), &stats, || {
-                    (plan_hists, hit_rate)
-                }),
-        };
+        let candidates = plan.candidates(gen.as_ref());
         Ok(ExplainPayload {
             db: db.to_string(),
             version,
-            mode: self.planner,
-            chosen,
+            chosen: crate::planner::cost::cheapest(&candidates),
             candidates: candidates.to_vec(),
-            stats,
+            stats: plan.stats(),
         })
     }
 
@@ -898,83 +791,6 @@ impl ShardEngine {
             }
             self.metrics.record_push(t0.elapsed());
         }
-    }
-
-    /// Journals the current feedback image — learned estimates plus the
-    /// hottest cache keys — as one full-state record. Best-effort: a
-    /// failing journal costs recovered learning, never a served answer.
-    fn journal_feedback(&self) {
-        let estimates = self
-            .cost
-            .export()
-            .into_iter()
-            .map(|(db, estimates)| PlanFeedback { db, estimates })
-            .collect();
-        let hot_keys = self
-            .cache
-            .lock()
-            .hot_keys(MAX_HOT_KEYS)
-            .into_iter()
-            .map(|k| HotKey {
-                db: k.db,
-                version: k.version,
-                query: k.query,
-                generator: k.generator,
-                plan: k.plan,
-                eps_bits: k.eps_bits,
-                delta_bits: k.delta_bits,
-                seed: k.seed,
-            })
-            .collect();
-        let image = FeedbackImage {
-            estimates,
-            hot_keys,
-        };
-        let _ = self.backend.journal_feedback(&image);
-    }
-
-    /// Lazily replays the recovered hot keys of `db` on its first touch
-    /// after a restart: the staged keys are removed under the lock (so
-    /// exactly one request triggers the replay) and re-answered on a
-    /// detached thread with their recorded plan as an explicit override,
-    /// re-filling the cache entries clients ask for first. Keys whose
-    /// database has since moved past the recorded version are skipped;
-    /// replay errors are ignored (pre-warming is opportunistic).
-    fn trigger_prewarm(&self, db: &str) {
-        if !self.has_warm.load(Ordering::Relaxed) {
-            return;
-        }
-        let keys = {
-            let mut warm = self.warm.lock();
-            let keys = warm.remove(db);
-            if warm.is_empty() {
-                self.has_warm.store(false, Ordering::Relaxed);
-            }
-            keys
-        };
-        let Some(keys) = keys else { return };
-        let Some(engine) = self.self_ref.upgrade() else {
-            return;
-        };
-        let _ = std::thread::Builder::new()
-            .name("ocqa-prewarm".into())
-            .spawn(move || {
-                for k in keys {
-                    let current = engine.catalog.read().info(&k.db).map(|i| i.version);
-                    if current != Ok(k.version) {
-                        continue;
-                    }
-                    let _ = engine.answer(
-                        &k.db,
-                        &QueryRef::Text(k.query.clone()),
-                        &k.generator,
-                        f64::from_bits(k.eps_bits),
-                        f64::from_bits(k.delta_bits),
-                        k.seed,
-                        Some(k.plan),
-                    );
-                }
-            });
     }
 
     /// Stores a computed answer, returning the post-insert cache stats.

@@ -11,6 +11,9 @@
 //! handed, advanced by the journaled updates), plus the prepared-query
 //! texts in their original preparation order (handle ids are ordinal, so
 //! replaying the texts in order reproduces the exact pre-restart handles).
+//! That is all the state there is: plan choice is a function of the
+//! recovered databases alone, so no planner state is journaled and a
+//! recovered shard routes every request exactly as before the restart.
 //!
 //! Two implementations exist:
 //!
@@ -34,7 +37,6 @@
 
 use crate::error::EngineError;
 use crate::image::DbImage;
-use crate::planner::{Estimate, PlanKind};
 use ocqa_data::Fact;
 
 /// The net effect of an update batch, offered to the backend before the
@@ -50,55 +52,6 @@ pub struct UpdateDelta<'a> {
     pub inserted: &'a [Fact],
     /// Facts present before and absent after.
     pub removed: &'a [Fact],
-}
-
-/// One database's learned per-plan cost estimates, journaled as planner
-/// feedback and restored into the cost model on recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanFeedback {
-    /// Catalog name.
-    pub db: String,
-    /// Decayed estimates in plan registry order (key-repair, localized,
-    /// monolithic — the order of [`crate::obs::PLANS`]).
-    pub estimates: [Estimate; 3],
-}
-
-/// One hot answer-cache key, persisted so a restarted shard can pre-warm
-/// the entries its clients touch first. Carries everything needed to
-/// re-run the answer deterministically — including the version, so a
-/// recovered key whose database has since moved on is simply skipped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotKey {
-    /// Catalog name.
-    pub db: String,
-    /// The database version the cached answer was computed at.
-    pub version: u64,
-    /// The query text (cache-key form).
-    pub query: String,
-    /// The generator name.
-    pub generator: String,
-    /// The plan the answer was served with (replayed as an explicit
-    /// override so pre-warming reproduces the exact cached entry).
-    pub plan: PlanKind,
-    /// `eps` as IEEE-754 bits (the cache key's exact form).
-    pub eps_bits: u64,
-    /// `delta` as IEEE-754 bits.
-    pub delta_bits: u64,
-    /// The request seed.
-    pub seed: u64,
-}
-
-/// The planner-feedback image: the cost model's learned estimates plus
-/// the hottest answer-cache keys, journaled as one full-state record
-/// (last record wins on replay — estimates are tiny, so re-journaling
-/// the whole image every few observations beats delta encoding).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FeedbackImage {
-    /// Per-database learned estimates, sorted by name for deterministic
-    /// bytes.
-    pub estimates: Vec<PlanFeedback>,
-    /// The hottest cache keys across all databases, most recent first.
-    pub hot_keys: Vec<HotKey>,
 }
 
 /// The persisted world handed to a starting engine.
@@ -119,9 +72,6 @@ pub struct RecoveredState {
     /// highest version ever issued, *including dropped databases*, so a
     /// recreate after restart can never alias a pre-restart version.
     pub next_version: u64,
-    /// The last journaled planner-feedback image (empty when the backend
-    /// predates planner v2 or never journaled feedback).
-    pub feedback: FeedbackImage,
 }
 
 impl RecoveredState {
@@ -159,14 +109,6 @@ pub trait StorageBackend: Send + Sync {
     /// record at or below the recovered counter is a refolded duplicate
     /// and is skipped, mirroring the version guards on catalog records.
     fn journal_prepare(&self, text: &str, ordinal: u64) -> Result<(), EngineError>;
-
-    /// Journals the planner-feedback image (full state, last record
-    /// wins). Unlike the catalog hooks this is **advisory**: learned
-    /// costs are an optimization, so the shard ignores failures and a
-    /// backend without durability simply keeps the default no-op.
-    fn journal_feedback(&self, _feedback: &FeedbackImage) -> Result<(), EngineError> {
-        Ok(())
-    }
 
     /// WAL group-commit observability: `(records-per-fsync, fsync
     /// latency µs)` histograms, for backends that journal through a

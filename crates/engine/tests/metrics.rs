@@ -143,9 +143,9 @@ fn routed_explain_is_byte_identical_to_in_process_sharding() {
         ..EngineConfig::default()
     });
 
-    // Zero-feedback state on purpose: with no recorded observations the
-    // candidate costs are the integer analytic priors, so the whole
-    // `explain` document — costs included — must agree byte for byte.
+    // Candidate costs are integer analytic step counts, so the whole
+    // `explain` document — costs included — must agree byte for byte,
+    // and served answers must not move it.
     let workload = [
         r#"{"op":"create_db","name":"kv","facts":"R(1,10). R(1,20). R(2,30).","constraints":"R(x,y), R(x,z) -> y = z."}"#,
         r#"{"op":"create_db","name":"net","facts":"Pref(a,b). Pref(b,a). Pref(c,d). Pref(d,c).","constraints":"Pref(x,y), Pref(y,x) -> false."}"#,
@@ -156,16 +156,16 @@ fn routed_explain_is_byte_identical_to_in_process_sharding() {
             reference.handle_line(line).to_string()
         );
     }
-    for (explain, chosen, prior) in [
+    for (explain, chosen, gate) in [
         (
             r#"{"op":"explain","db":"kv"}"#,
             "\"chosen\":\"key-repair\"",
-            "\"source\":\"prior\"",
+            "\"gate\":null",
         ),
         (
             r#"{"op":"explain","db":"net"}"#,
             "\"chosen\":\"localized\"",
-            "\"source\":\"prior\"",
+            "\"gate\":\"key-cover\"",
         ),
         // A non-component-local generator gates out both fast paths.
         (
@@ -177,9 +177,21 @@ fn routed_explain_is_byte_identical_to_in_process_sharding() {
         let routed = proxy.handle_line(explain);
         let direct = reference.handle_line(explain).to_string();
         assert_eq!(routed, direct, "explain diverged for {explain}");
-        assert!(routed.contains("\"mode\":\"cost\""), "{routed}");
         assert!(routed.contains(chosen), "{routed}");
-        assert!(routed.contains(prior), "{routed}");
+        assert!(routed.contains(gate), "{routed}");
+        for seed in 0..3 {
+            let answer = format!(
+                r#"{{"op":"answer","db":"net","query":"(x) <- exists y: Pref(x,y)","seed":{seed},"plan":"monolithic"}}"#
+            );
+            proxy.handle_line(&answer);
+            reference.handle_line(&answer);
+        }
+        assert_eq!(
+            proxy.handle_line(explain),
+            routed,
+            "traffic moved {explain}"
+        );
+        assert_eq!(reference.handle_line(explain).to_string(), direct);
     }
 }
 

@@ -41,19 +41,59 @@ fn engine(workers: usize) -> Arc<Engine> {
     })
 }
 
+fn create(e: &Engine, name: &str, facts: &str, constraints: &str) {
+    let resp = e.handle(EngineRequest::CreateDb {
+        name: name.into(),
+        facts: facts.into(),
+        constraints: constraints.into(),
+    });
+    assert!(matches!(resp, EngineResponse::Created(_)), "{resp:?}");
+}
+
 fn answer(e: &Engine, db: &str, query: &str, eps: f64, seed: u64) -> ocqa_engine::AnswerPayload {
-    let EngineResponse::Answer(a) = e.handle(EngineRequest::Answer {
+    pinned(e, db, query, eps, seed, None)
+}
+
+fn pinned(
+    e: &Engine,
+    db: &str,
+    query: &str,
+    eps: f64,
+    seed: u64,
+    plan: Option<PlanKind>,
+) -> ocqa_engine::AnswerPayload {
+    let resp = e.handle(EngineRequest::Answer {
         db: db.into(),
         query: QueryRef::Text(query.into()),
         generator: "uniform".into(),
         eps,
         delta: eps,
         seed,
-        plan: None,
-    }) else {
-        panic!("expected answer");
+        plan,
+    });
+    let EngineResponse::Answer(a) = resp else {
+        panic!("expected answer, got {resp:?}");
     };
     a
+}
+
+fn explain(e: &Engine, db: &str) -> ocqa_engine::ExplainPayload {
+    let EngineResponse::Explain(x) = e.handle(EngineRequest::Explain {
+        db: db.into(),
+        generator: "uniform".into(),
+    }) else {
+        panic!("expected explain");
+    };
+    x
+}
+
+/// `[localized, monolithic]` candidate costs of an `explain`.
+fn walk_costs(x: &ocqa_engine::ExplainPayload) -> [u64; 2] {
+    [PlanKind::Localized, PlanKind::Monolithic].map(|plan| {
+        let c = x.candidates.iter().find(|c| c.plan == plan).unwrap();
+        assert!(c.feasible, "{c:?}");
+        c.cost
+    })
 }
 
 const KEY_FACTS: &str = "R(1,10). R(1,20). R(2,30). R(2,40). R(2,50). R(3,60).";
@@ -67,12 +107,7 @@ const QUERY_P: &str = "(x) <- exists y: Pref(x,y)";
 fn key_repair_plan_agrees_with_exact_cp() {
     let exact = exact_cp(KEY_FACTS, KEY_SIGMA, QUERY_R);
     let e = engine(2);
-    let resp = e.handle(EngineRequest::CreateDb {
-        name: "kv".into(),
-        facts: KEY_FACTS.into(),
-        constraints: KEY_SIGMA.into(),
-    });
-    assert!(matches!(resp, EngineResponse::Created(_)));
+    create(&e, "kv", KEY_FACTS, KEY_SIGMA);
     // ε = δ = 0.05 ⇒ 738 walks; the additive bound holds with prob .95
     // per tuple, and these seeds are fixed (deterministic regression).
     for seed in [1u64, 2, 3] {
@@ -96,12 +131,7 @@ fn key_repair_plan_agrees_with_exact_cp() {
 fn localized_plan_agrees_with_exact_cp() {
     let exact = exact_cp(DC_FACTS, DC_SIGMA, QUERY_P);
     let e = engine(2);
-    let resp = e.handle(EngineRequest::CreateDb {
-        name: "prefs".into(),
-        facts: DC_FACTS.into(),
-        constraints: DC_SIGMA.into(),
-    });
-    assert!(matches!(resp, EngineResponse::Created(_)));
+    create(&e, "prefs", DC_FACTS, DC_SIGMA);
     for seed in [1u64, 2, 3] {
         let a = answer(&e, "prefs", QUERY_P, 0.05, seed);
         assert_eq!(a.plan, PlanKind::Localized);
@@ -118,48 +148,39 @@ fn localized_plan_agrees_with_exact_cp() {
 }
 
 /// Two 3-cycles under a 2-path denial constraint, plus one clean fact:
-/// multi-component, so the static classifier and the cost model both
-/// start on the localized plan.
+/// multi-component, so the analytic costs start on the localized plan
+/// (33 steps against monolithic's 49).
 const DRIFT_FACTS: &str =
     "Pref(a,b). Pref(b,c). Pref(c,a). Pref(d,e). Pref(e,f). Pref(f,d). Pref(q,r).";
 const DRIFT_SIGMA: &str = "Pref(x,y), Pref(y,z) -> false.";
 /// The drift: collapse everything into one 12-node cycle. The clean
-/// fact survives, so the static guard (`components != 1 || clean > 0`)
-/// keeps localized forever — only the cost model can flip.
+/// fact survives, so a structural rule (`components != 1 || clean > 0`)
+/// would keep localizing; only the costs (258 against 169) can flip.
 const DRIFT_DELETE: &str = "Pref(c,a). Pref(d,e). Pref(e,f). Pref(f,d).";
 const DRIFT_INSERT: &str = "Pref(c,d). Pref(d,e2). Pref(e2,f2). Pref(f2,g). Pref(g,h). \
      Pref(h,i). Pref(i,j). Pref(j,k). Pref(k,l). Pref(l,a).";
 
 #[test]
 fn drifted_database_flips_to_monolithic_only_under_the_cost_model() {
-    use ocqa_engine::PlannerMode;
-
-    let cost = engine(2);
-    let fixed = Engine::new(EngineConfig {
-        workers: 2,
-        cache_capacity: 64,
-        planner: PlannerMode::Static,
-        ..EngineConfig::default()
-    });
-    for e in [&cost, &fixed] {
-        let resp = e.handle(EngineRequest::CreateDb {
-            name: "drift".into(),
-            facts: DRIFT_FACTS.into(),
-            constraints: DRIFT_SIGMA.into(),
-        });
-        assert!(matches!(resp, EngineResponse::Created(_)));
+    // Two engines with the same history: `auto` answers automatically,
+    // `pins` serves the explicit plan overrides the flip is checked
+    // against.
+    let auto = engine(2);
+    let pins = engine(2);
+    for e in [&auto, &pins] {
+        create(e, "drift", DRIFT_FACTS, DRIFT_SIGMA);
     }
-
-    // Pre-drift: both modes serve localized, bit-identically.
-    let a_cost = answer(&cost, "drift", QUERY_P, 0.1, 5);
-    let a_fixed = answer(&fixed, "drift", QUERY_P, 0.1, 5);
-    assert_eq!(a_cost.plan, PlanKind::Localized);
-    assert_eq!(a_fixed.plan, PlanKind::Localized);
-    assert_eq!(a_cost.answers, a_fixed.answers);
+    assert_eq!(walk_costs(&explain(&auto, "drift")), [33, 49]);
+    let before = answer(&auto, "drift", QUERY_P, 0.1, 5);
+    assert_eq!(before.plan, PlanKind::Localized);
+    assert_eq!(
+        before.answers,
+        pinned(&pins, "drift", QUERY_P, 0.1, 5, Some(PlanKind::Localized)).answers
+    );
 
     // Drift: the same update stream on both engines grows one giant
     // conflict component (a 12-cycle) while the clean fact remains.
-    for e in [&cost, &fixed] {
+    for e in [&auto, &pins] {
         let resp = e.handle(EngineRequest::Delete {
             db: "drift".into(),
             facts: DRIFT_DELETE.into(),
@@ -172,31 +193,29 @@ fn drifted_database_flips_to_monolithic_only_under_the_cost_model() {
         assert!(matches!(resp, EngineResponse::Updated(_)), "{resp:?}");
     }
 
-    // Post-drift: the static classifier cannot move (the clean region
-    // still argues for localization), the cost model flips to
-    // monolithic.
-    let a_fixed = answer(&fixed, "drift", QUERY_P, 0.1, 9);
-    let a_cost = answer(&cost, "drift", QUERY_P, 0.1, 9);
-    assert_eq!(a_fixed.plan, PlanKind::Localized);
-    assert_eq!(a_cost.plan, PlanKind::Monolithic);
-    // The flip changed only *which* plan serves: the cost engine's
-    // monolithic payload is bit-identical to an explicit monolithic
-    // override on the static engine (determinism contract), and both
-    // plans' estimates agree within their summed ε bounds.
-    let EngineResponse::Answer(a_override) = fixed.handle(EngineRequest::Answer {
-        db: "drift".into(),
-        query: QueryRef::Text(QUERY_P.into()),
-        generator: "uniform".into(),
-        eps: 0.1,
-        delta: 0.1,
-        seed: 9,
-        plan: Some(PlanKind::Monolithic),
-    }) else {
-        panic!("expected answer");
-    };
-    assert_eq!(a_cost.answers, a_override.answers);
-    assert_eq!(a_cost.answers.len(), a_fixed.answers.len());
-    for (m, l) in a_cost.answers.iter().zip(&a_fixed.answers) {
+    // Post-drift the costs flip to monolithic. The flip changes only
+    // *which* plan serves: the automatic payload is bit-identical to an
+    // explicit monolithic pin (determinism contract), and the two plans'
+    // estimates agree within their summed ε bounds.
+    let x = explain(&auto, "drift");
+    assert_eq!(x.chosen, PlanKind::Monolithic);
+    assert_eq!((x.stats.components, x.stats.clean_facts), (1, 1));
+    assert_eq!(walk_costs(&x), [258, 169], "the loser stays feasible");
+    let key_repair = x
+        .candidates
+        .iter()
+        .find(|c| c.plan == PlanKind::KeyRepair)
+        .unwrap();
+    assert!(!key_repair.feasible);
+    assert_eq!(key_repair.gate, Some("key-cover"));
+
+    let after = answer(&auto, "drift", QUERY_P, 0.1, 9);
+    assert_eq!(after.plan, PlanKind::Monolithic);
+    let monolithic = pinned(&pins, "drift", QUERY_P, 0.1, 9, Some(PlanKind::Monolithic));
+    assert_eq!(after.answers, monolithic.answers);
+    let localized = pinned(&pins, "drift", QUERY_P, 0.1, 9, Some(PlanKind::Localized));
+    assert_eq!(after.answers.len(), localized.answers.len());
+    for (m, l) in after.answers.iter().zip(&localized.answers) {
         assert_eq!(m.tuple, l.tuple);
         assert!(
             (m.p - l.p).abs() <= 0.2,
@@ -206,43 +225,37 @@ fn drifted_database_flips_to_monolithic_only_under_the_cost_model() {
             l.p
         );
     }
+}
 
-    // `explain` reports the new winner with the losing candidate still
-    // feasible, and the static engine reports its own (unmoved) choice.
-    let EngineResponse::Explain(x) = cost.handle(EngineRequest::Explain {
-        db: "drift".into(),
-        generator: "uniform".into(),
-    }) else {
-        panic!("expected explain");
-    };
-    assert_eq!(x.mode, PlannerMode::Cost);
-    assert_eq!(x.chosen, PlanKind::Monolithic);
-    assert_eq!(x.stats.components, 1);
-    assert_eq!(x.stats.clean_facts, 1);
-    let localized = x
-        .candidates
-        .iter()
-        .find(|c| c.plan == PlanKind::Localized)
-        .unwrap();
-    assert!(
-        localized.feasible,
-        "the loser stays feasible: {localized:?}"
+#[test]
+fn cotenant_traffic_cannot_change_an_automatic_answer() {
+    // Engine A holds only `p`; engine B also holds two co-tenants on the
+    // same (single) shard that serve pinned plans first, filling the
+    // shard's per-plan latency histograms. Plan choice must not read
+    // them: `p`'s automatic answer is the same bytes in both.
+    let alone = engine(2);
+    create(&alone, "p", DRIFT_FACTS, DRIFT_SIGMA);
+    let shared = engine(2);
+    create(&shared, "p", DRIFT_FACTS, DRIFT_SIGMA);
+    let big: String = (0..20)
+        .map(|i| format!("Pref(a{i},b{i}). Pref(b{i},c{i}). Pref(c{i},a{i}). "))
+        .collect();
+    create(&shared, "big", &big, DRIFT_SIGMA);
+    create(&shared, "tiny", "Pref(a,b). Pref(b,a).", DC_SIGMA);
+    for seed in 1..=3u64 {
+        for (db, plan) in [("big", PlanKind::Localized), ("tiny", PlanKind::Monolithic)] {
+            pinned(&shared, db, QUERY_P, 0.1, seed, Some(plan));
+        }
+    }
+    let a = answer(&alone, "p", QUERY_P, 0.1, 5);
+    let b = answer(&shared, "p", QUERY_P, 0.1, 5);
+    assert_eq!(a.plan, PlanKind::Localized);
+    assert_eq!(b.plan, a.plan, "co-tenant traffic changed the plan");
+    assert_eq!(b.answers, a.answers, "co-tenant traffic changed the answer");
+    assert_eq!(
+        explain(&shared, "p").candidates,
+        explain(&alone, "p").candidates
     );
-    let key_repair = x
-        .candidates
-        .iter()
-        .find(|c| c.plan == PlanKind::KeyRepair)
-        .unwrap();
-    assert!(!key_repair.feasible);
-    assert_eq!(key_repair.gate, Some("key-cover"));
-    let EngineResponse::Explain(x) = fixed.handle(EngineRequest::Explain {
-        db: "drift".into(),
-        generator: "uniform".into(),
-    }) else {
-        panic!("expected explain");
-    };
-    assert_eq!(x.mode, PlannerMode::Static);
-    assert_eq!(x.chosen, PlanKind::Localized);
 }
 
 #[test]
@@ -257,12 +270,7 @@ fn planner_answers_bit_identical_across_pool_sizes() {
         let mut outputs = Vec::new();
         for workers in [1usize, 2, 8] {
             let e = engine(workers);
-            let resp = e.handle(EngineRequest::CreateDb {
-                name: name.into(),
-                facts: facts.into(),
-                constraints: sigma.into(),
-            });
-            assert!(matches!(resp, EngineResponse::Created(_)));
+            create(&e, name, facts, sigma);
             let a = answer(&e, name, query, 0.05, 123);
             assert_eq!(a.plan, plan);
             outputs.push(

@@ -5,7 +5,7 @@ use crate::error::StoreError;
 use crate::store::{Store, StoreOptions};
 use crate::wal::WalRecord;
 use ocqa_engine::{
-    DbImage, EngineError, FeedbackImage, HistSnapshot, RecoveredState, StorageBackend, UpdateDelta,
+    DbImage, EngineError, HistSnapshot, RecoveredState, StorageBackend, UpdateDelta,
 };
 use parking_lot::Mutex;
 use std::path::Path;
@@ -127,10 +127,6 @@ impl StorageBackend for DiskBackend {
             text: text.to_string(),
             ordinal,
         })
-    }
-
-    fn journal_feedback(&self, feedback: &FeedbackImage) -> Result<(), EngineError> {
-        self.journal(&WalRecord::Feedback(feedback.clone()))
     }
 
     fn wal_commit_stats(&self) -> Option<(HistSnapshot, HistSnapshot)> {

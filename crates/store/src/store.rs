@@ -33,7 +33,7 @@
 use crate::error::StoreError;
 use crate::wal::{self, WalRecord, WalWriter};
 use crate::wire::{self, Manifest};
-use ocqa_engine::{DbImage, FeedbackImage, HistSnapshot, Histogram, RecoveredState};
+use ocqa_engine::{DbImage, HistSnapshot, Histogram, RecoveredState};
 use ocqa_logic::{incremental, parser, ConstraintSet};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -359,7 +359,6 @@ impl Store {
             databases: Vec::new(),
             prepared: state.prepared.clone(),
             prepared_next: state.prepared_next,
-            feedback: state.feedback.clone(),
         };
         let mut summary = CompactionSummary {
             databases: Vec::new(),
@@ -451,8 +450,6 @@ struct Replay {
     /// The registry's id counter.
     prepared_next: u64,
     max_version: u64,
-    /// Last planner-feedback image seen (full-state, last record wins).
-    feedback: FeedbackImage,
 }
 
 impl Replay {
@@ -482,7 +479,6 @@ impl Replay {
             prepared: manifest.prepared.clone(),
             prepared_next: manifest.prepared_next,
             max_version,
-            feedback: manifest.feedback.clone(),
         })
     }
 
@@ -570,30 +566,15 @@ impl Replay {
                 self.prepared.push((format!("q{ordinal}"), text));
                 Ok(())
             }
-            WalRecord::Feedback(feedback) => {
-                // Full-state image: the latest record wins outright.
-                self.feedback = feedback;
-                Ok(())
-            }
         }
     }
 
-    fn into_state(mut self) -> RecoveredState {
-        // Prune feedback for databases that are no longer live: a name
-        // dropped after the last feedback record must not seed estimates
-        // onto a future namesake holding different data.
-        self.feedback
-            .estimates
-            .retain(|pf| self.databases.contains_key(&pf.db));
-        self.feedback
-            .hot_keys
-            .retain(|k| self.databases.contains_key(&k.db));
+    fn into_state(self) -> RecoveredState {
         RecoveredState {
             next_version: self.max_version,
             databases: self.databases.into_values().map(|(img, _)| img).collect(),
             prepared: self.prepared,
             prepared_next: self.prepared_next,
-            feedback: self.feedback,
         }
     }
 }

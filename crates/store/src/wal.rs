@@ -17,7 +17,6 @@
 //! crash sits before the torn one, so nothing acknowledged is ever lost.
 
 use crate::error::StoreError;
-use crate::wire;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ocqa_data::codec;
 use ocqa_data::Fact;
@@ -58,10 +57,6 @@ pub enum WalRecord {
         /// The minted handle number.
         ordinal: u64,
     },
-    /// A full planner-feedback image (learned cost estimates + hot cache
-    /// keys). Full-state records: replay keeps only the last one, so the
-    /// journal cadence needs no delta encoding.
-    Feedback(ocqa_engine::FeedbackImage),
 }
 
 /// Hard cap on one record's payload: the frame header stores the length
@@ -74,7 +69,9 @@ const TAG_INSTALL: u8 = 1;
 const TAG_UPDATE: u8 = 2;
 const TAG_DROP: u8 = 3;
 const TAG_PREPARE: u8 = 4;
-const TAG_FEEDBACK: u8 = 5;
+/// Once journaled advisory planner feedback. Nothing writes it any more;
+/// [`scan`] skips it so logs that still hold one keep recovering.
+const TAG_LEGACY_FEEDBACK: u8 = 5;
 
 impl WalRecord {
     /// The payload of an [`Install`](WalRecord::Install) record, encoded
@@ -115,10 +112,6 @@ impl WalRecord {
                 codec::put_name(&mut buf, text);
                 codec::put_varint(&mut buf, *ordinal);
             }
-            WalRecord::Feedback(feedback) => {
-                buf.put_u8(TAG_FEEDBACK);
-                wire::put_feedback(&mut buf, feedback);
-            }
         }
         buf.freeze()
     }
@@ -152,7 +145,6 @@ impl WalRecord {
                 text: codec::get_name(&mut buf)?,
                 ordinal: codec::get_varint(&mut buf)?,
             },
-            TAG_FEEDBACK => WalRecord::Feedback(wire::get_feedback(&mut buf)?),
             tag => return Err(StoreError::Corrupt(format!("unknown WAL tag {tag:#x}"))),
         };
         if buf.has_remaining() {
@@ -203,7 +195,9 @@ pub fn scan(path: &Path) -> Result<WalScan, StoreError> {
         // A checksummed payload that fails to *decode* is a format bug or
         // targeted corruption, not a torn write — surface it instead of
         // silently dropping acknowledged mutations.
-        records.push(WalRecord::decode(payload)?);
+        if payload.first() != Some(&TAG_LEGACY_FEEDBACK) {
+            records.push(WalRecord::decode(payload)?);
+        }
         pos = start + len;
     }
     Ok(WalScan {

@@ -6,8 +6,10 @@
 //!   (the WAL has its own per-record checksum), so snapshot writing and
 //!   journal replay decode through one path.
 //! * [`Manifest`] — the store's root: the version-counter floor, the
-//!   name → snapshot-file map, the prepared-query texts in handle order
-//!   and the planner-feedback image, framed under `OCQM`.
+//!   name → snapshot-file map and the prepared-query texts in handle
+//!   order, framed under `OCQM`. Format 2 ends in a planner-feedback
+//!   tail that nothing uses any more: it is written empty and skipped on
+//!   read, so manifests written with learned costs still open.
 //!
 //! Both files are `codec::frame`s (`magic | u16 format-version |
 //! u32 crc32 | payload`), rejected whole on any mismatch (a torn
@@ -16,10 +18,9 @@
 //! which compaction only deletes after the new one is durable).
 
 use crate::error::StoreError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ocqa_data::codec;
 use ocqa_engine::image::{self, DbImage};
-use ocqa_engine::{Estimate, FeedbackImage, HotKey, PlanFeedback};
 
 /// The store's root artifact: what the snapshot directory holds and in
 /// which order prepared queries replay.
@@ -36,8 +37,6 @@ pub struct Manifest {
     pub prepared: Vec<(String, String)>,
     /// The registry's id counter (highest ordinal ever allocated).
     pub prepared_next: u64,
-    /// The last journaled planner-feedback image.
-    pub feedback: FeedbackImage,
 }
 
 const MANIFEST_MAGIC: &[u8; 4] = b"OCQM";
@@ -49,72 +48,38 @@ fn corrupt(what: &str, e: codec::CodecError) -> StoreError {
     StoreError::Corrupt(format!("{what}: {e}"))
 }
 
-/// Appends one [`FeedbackImage`] to `buf` (self-delimiting, so it embeds
-/// in both the manifest tail and WAL `feedback` records).
-pub fn put_feedback(buf: &mut BytesMut, feedback: &FeedbackImage) {
-    codec::put_varint(buf, feedback.estimates.len() as u64);
-    for pf in &feedback.estimates {
-        codec::put_name(buf, &pf.db);
-        for est in &pf.estimates {
-            codec::put_varint(buf, est.ewma_us);
-            codec::put_varint(buf, est.samples);
-        }
-    }
-    codec::put_varint(buf, feedback.hot_keys.len() as u64);
-    for k in &feedback.hot_keys {
-        codec::put_name(buf, &k.db);
-        codec::put_varint(buf, k.version);
-        codec::put_name(buf, &k.query);
-        codec::put_name(buf, &k.generator);
-        buf.put_u8(image::plan_tag(k.plan));
-        codec::put_varint(buf, k.eps_bits);
-        codec::put_varint(buf, k.delta_bits);
-        codec::put_varint(buf, k.seed);
-    }
-}
+/// The manifest's feedback tail as written: no cost estimates, no hot
+/// cache keys.
+const EMPTY_FEEDBACK_TAIL: [u8; 2] = [0, 0];
 
-/// Reads one [`FeedbackImage`] (inverse of [`put_feedback`]).
-pub fn get_feedback(buf: &mut Bytes) -> Result<FeedbackImage, StoreError> {
-    let nest = codec::get_count(buf)?;
-    let mut estimates = Vec::with_capacity(nest);
-    for _ in 0..nest {
-        let db = codec::get_name(buf)?;
-        let mut ests = [Estimate::default(); 3];
-        for est in &mut ests {
-            est.ewma_us = codec::get_varint(buf)?;
-            est.samples = codec::get_varint(buf)?;
+/// Reads past a manifest's feedback tail without keeping it: per-database
+/// cost estimates (a name and six varints each), then hot cache keys
+/// (name, version, query, generator, plan tag, eps, delta, seed). Nothing
+/// is allocated for either list: each count is bounded by the bytes left
+/// and every entry consumes at least one byte.
+fn skip_feedback_tail(buf: &mut Bytes) -> Result<(), StoreError> {
+    fn skip_name(buf: &mut Bytes) -> Result<(), StoreError> {
+        let len = codec::get_count(buf)?;
+        buf.advance(len);
+        Ok(())
+    }
+    for _ in 0..codec::get_count(buf)? {
+        skip_name(buf)?;
+        for _ in 0..6 {
+            codec::get_varint(buf)?;
         }
-        estimates.push(PlanFeedback {
-            db,
-            estimates: ests,
-        });
     }
-    let nhot = codec::get_count(buf)?;
-    let mut hot_keys = Vec::with_capacity(nhot);
-    for _ in 0..nhot {
-        let db = codec::get_name(buf)?;
-        let version = codec::get_varint(buf)?;
-        let query = codec::get_name(buf)?;
-        let generator = codec::get_name(buf)?;
-        let plan = image::get_plan(buf)?;
-        let eps_bits = codec::get_varint(buf)?;
-        let delta_bits = codec::get_varint(buf)?;
-        let seed = codec::get_varint(buf)?;
-        hot_keys.push(HotKey {
-            db,
-            version,
-            query,
-            generator,
-            plan,
-            eps_bits,
-            delta_bits,
-            seed,
-        });
+    for _ in 0..codec::get_count(buf)? {
+        skip_name(buf)?;
+        codec::get_varint(buf)?;
+        skip_name(buf)?;
+        skip_name(buf)?;
+        image::get_plan(buf)?;
+        for _ in 0..3 {
+            codec::get_varint(buf)?;
+        }
     }
-    Ok(FeedbackImage {
-        estimates,
-        hot_keys,
-    })
+    Ok(())
 }
 
 /// Serializes a snapshot file: framed, checksummed [`DbImage`].
@@ -151,7 +116,7 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     put_pairs(&mut buf, &m.databases);
     put_pairs(&mut buf, &m.prepared);
     codec::put_varint(&mut buf, m.prepared_next);
-    put_feedback(&mut buf, &m.feedback);
+    buf.put_slice(&EMPTY_FEEDBACK_TAIL);
     codec::frame(MANIFEST_MAGIC, FORMAT_VERSION, &buf)
 }
 
@@ -164,51 +129,19 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, StoreError> {
     let databases = get_pairs(&mut buf)?;
     let prepared = get_pairs(&mut buf)?;
     let prepared_next = codec::get_varint(&mut buf)?;
-    let feedback = get_feedback(&mut buf)?;
+    skip_feedback_tail(&mut buf)?;
     codec::expect_end(&buf).map_err(|e| corrupt("manifest", e))?;
     Ok(Manifest {
         next_version,
         databases,
         prepared,
         prepared_next,
-        feedback,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf;
-    use ocqa_engine::PlanKind;
-
-    fn sample_feedback() -> FeedbackImage {
-        FeedbackImage {
-            estimates: vec![PlanFeedback {
-                db: "kv".into(),
-                estimates: [
-                    Estimate {
-                        ewma_us: 120,
-                        samples: 9,
-                    },
-                    Estimate::default(),
-                    Estimate {
-                        ewma_us: 4500,
-                        samples: 2,
-                    },
-                ],
-            }],
-            hot_keys: vec![HotKey {
-                db: "kv".into(),
-                version: 7,
-                query: "(x) <- R(x,1)".into(),
-                generator: "uniform".into(),
-                plan: PlanKind::KeyRepair,
-                eps_bits: 0.1f64.to_bits(),
-                delta_bits: 0.05f64.to_bits(),
-                seed: 42,
-            }],
-        }
-    }
 
     fn sample_manifest() -> Manifest {
         Manifest {
@@ -222,7 +155,6 @@ mod tests {
                 ("q4".into(), "(y) <- R(1,y)".into()),
             ],
             prepared_next: 9,
-            feedback: sample_feedback(),
         }
     }
 
@@ -232,16 +164,6 @@ mod tests {
         assert_eq!(decode_manifest(&encode_manifest(&m)).unwrap(), m);
         let empty = Manifest::default();
         assert_eq!(decode_manifest(&encode_manifest(&empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn feedback_image_roundtrips() {
-        let fb = sample_feedback();
-        let mut buf = BytesMut::new();
-        put_feedback(&mut buf, &fb);
-        let mut bytes = buf.freeze();
-        assert_eq!(get_feedback(&mut bytes).unwrap(), fb);
-        assert!(!bytes.has_remaining());
     }
 
     #[test]
@@ -265,9 +187,9 @@ mod tests {
     #[test]
     fn manifest_length_fields_cannot_size_an_allocation() {
         // The manifest's varints in payload order; the four marked ones
-        // are list counts. Each in turn claims 2^44 entries inside a frame
-        // whose checksum is correct, and is refused before anything is
-        // allocated for it.
+        // are list counts, the last two in the skipped feedback tail.
+        // Each in turn claims 2^44 entries inside a frame whose checksum
+        // is correct, and is refused before anything is allocated for it.
         const COUNTS: [usize; 4] = [1, 2, 4, 5]; // databases, prepared, estimates, hot keys
         for hostile in COUNTS {
             let mut buf = BytesMut::new();

@@ -519,93 +519,6 @@ fn direct_wal_scan_reports_valid_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn learned_costs_and_hot_keys_survive_restart() {
-    let dir = temp_dir("feedback");
-    let answer_seed = |seed: u64| {
-        format!(
-            r#"{{"op":"answer","db":"kv","query":"(x) <- exists y: R(x,y)","eps":0.1,"delta":0.1,"seed":{seed}}}"#
-        )
-    };
-    // Session 1: nine answers with distinct seeds. The shard journals
-    // the planner-feedback image at the eighth leader observation, so
-    // the image holds learned key-repair estimates plus the eight hot
-    // keys cached at that point (seeds 1..=8 — seed 9's observation
-    // lands after the journal).
-    {
-        let e = engine_at(&dir, StoreOptions::default());
-        assert!(e.handle_line(CREATE).to_string().contains("\"ok\":true"));
-        for seed in 1..=9u64 {
-            let out = e.handle_line(&answer_seed(seed)).to_string();
-            assert!(out.contains("\"cached\":false"), "{out}");
-        }
-    }
-
-    // Session 2: the restarted shard resumes the learned estimates —
-    // `explain` reports a `learned` cost for the chosen plan instead of
-    // re-deriving from cold priors.
-    let e = engine_at(&dir, StoreOptions::default());
-    let explain = e.handle_line(r#"{"op":"explain","db":"kv"}"#).to_string();
-    assert!(explain.contains("\"chosen\":\"key-repair\""), "{explain}");
-    assert!(explain.contains("\"source\":\"learned\""), "{explain}");
-
-    // The first answer touching the database kicks off the cache
-    // pre-warm: eight replayed misses repopulate the recovered hot keys.
-    let out = e.handle_line(&answer_seed(100)).to_string();
-    assert!(out.contains("\"cached\":false"), "{out}");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let stats = e.handle_line(r#"{"op":"stats"}"#).to_string();
-        // 1 trigger answer + 8 pre-warm replays.
-        if stats.contains("\"answers\":9") {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "pre-warm never completed: {stats}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    // The counter ticks just before the cache insert; give the last
-    // replay's insert a moment to land.
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    // A pre-restart request is now served from cache on first touch.
-    let out = e.handle_line(&answer_seed(3)).to_string();
-    assert!(out.contains("\"cached\":true"), "{out}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn feedback_for_dead_databases_is_pruned_on_recovery() {
-    use ocqa_engine::{Estimate, FeedbackImage, PlanFeedback};
-
-    let dir = temp_dir("feedback-prune");
-    {
-        let backend = DiskBackend::with_options(&dir, StoreOptions::default()).unwrap();
-        backend
-            .journal_feedback(&FeedbackImage {
-                estimates: vec![PlanFeedback {
-                    db: "ghost".into(),
-                    estimates: [Estimate {
-                        ewma_us: 10,
-                        samples: 1,
-                    }; 3],
-                }],
-                hot_keys: Vec::new(),
-            })
-            .unwrap();
-    }
-    // "ghost" was never installed, so recovery drops its estimates: a
-    // future namesake must start from cold priors.
-    let backend = DiskBackend::with_options(&dir, StoreOptions::default()).unwrap();
-    let state = backend.recover().unwrap();
-    assert!(state.feedback.estimates.is_empty());
-    assert!(state.feedback.hot_keys.is_empty());
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 mod proptests {
 
     use ocqa_data::{codec, Constant, Database, Fact, Schema};
