@@ -28,7 +28,6 @@ fn seeded_data_dir(clean: usize, groups: usize) -> (PathBuf, String) {
                 &dir,
                 StoreOptions {
                     compact_wal_bytes: u64::MAX,
-                    ..StoreOptions::default()
                 },
             )
             .expect("open backend"),

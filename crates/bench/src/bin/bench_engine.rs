@@ -27,8 +27,7 @@
 //!
 //! The `saturation` section measures concurrent throughput: cold
 //! monolithic answers under 8 client threads at 1/2/4/8 sampler
-//! workers, and write-heavy WAL append rates with group commit off vs
-//! on (see [`saturation`]).
+//! workers (see [`saturation`]).
 //!
 //! The `rebalance` section measures the elastic cluster's move cost:
 //! mean wall-clock per database snapshot-shipped to a freshly joined
@@ -209,15 +208,12 @@ fn streaming() -> Json {
 /// Saturation: cold monolithic `answer` throughput under 8 concurrent
 /// client threads at 1/2/4/8 sampler workers (distinct seeds per
 /// request, so nothing caches or coalesces — every request runs its full
-/// walk budget on the sampler pool), plus write-heavy WAL append
-/// throughput with group commit off vs on (8 concurrent mutators; off
-/// pays one `fsync` per append, on shares one batch `fsync` per window).
-/// Rates are requests (or appends) per second; scaling beyond the
-/// machine's core count only shows on machines that have the cores.
+/// walk budget on the sampler pool). Rates are requests per second;
+/// scaling beyond the machine's core count only shows on machines that
+/// have the cores.
 fn saturation() -> Json {
     const CLIENTS: usize = 8;
     const ANSWERS_PER_CLIENT: u64 = 5;
-    const APPENDS_PER_CLIENT: u64 = 32;
 
     let scenario = scenarios().pop().expect("monolithic scenario");
     assert_eq!(scenario.plan, "monolithic");
@@ -258,52 +254,10 @@ fn saturation() -> Json {
         );
     }
 
-    let mut append_rates = std::collections::BTreeMap::new();
-    for (label, group_commit_us) in [("group_commit_off", 0u64), ("group_commit_2000us", 2_000)] {
-        let dir = std::env::temp_dir().join(format!(
-            "ocqa-bench-saturation-{}-{group_commit_us}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(
-            ocqa_store::Store::open(
-                &dir,
-                ocqa_store::StoreOptions {
-                    group_commit_us,
-                    ..ocqa_store::StoreOptions::default()
-                },
-            )
-            .expect("open bench store"),
-        );
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for client in 0..CLIENTS {
-                let store = store.clone();
-                scope.spawn(move || {
-                    for i in 0..APPENDS_PER_CLIENT {
-                        let ordinal = client as u64 * APPENDS_PER_CLIENT + i + 1;
-                        store
-                            .append(&ocqa_store::WalRecord::Prepare {
-                                text: format!("(x) <- R(x, {ordinal})"),
-                                ordinal,
-                            })
-                            .expect("append");
-                    }
-                });
-            }
-        });
-        let rate = CLIENTS as f64 * APPENDS_PER_CLIENT as f64 / start.elapsed().as_secs_f64();
-        append_rates.insert(label.to_string(), Json::Num((rate * 10.0).round() / 10.0));
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     Json::obj([
         ("clients", Json::from(CLIENTS as u64)),
         ("answers_per_client", Json::from(ANSWERS_PER_CLIENT)),
-        ("appends_per_client", Json::from(APPENDS_PER_CLIENT)),
         ("cold_monolithic_rps", Json::Obj(answer_rates)),
-        ("wal_appends_per_s", Json::Obj(append_rates)),
     ])
 }
 

@@ -9,9 +9,9 @@
 //!                 [--max-states N]
 //!   ocqa trace    --facts FILE --constraints FILE [--generator NAME] [--seed N]
 //!   ocqa serve    [--listen ADDR] [--workers N] [--conn-workers N] [--cache N]
-//!                 [--planner cost] [--shards N] [--ttl-ms MS]
+//!                 [--planner cost] [--shards N]
 //!                 [--max-inflight N] [--max-subs-per-conn N] [--data-dir PATH]
-//!                 [--group-commit-us US] [--slow-ms MS] [--metrics-addr ADDR]
+//!                 [--group-commit-us 0] [--slow-ms MS] [--metrics-addr ADDR]
 //!                 [--replicate-to HOST:PORT]
 //!   ocqa route    --upstream HOST:PORT [--upstream HOST:PORT ...] [--listen ADDR]
 //!                 [--standby HOST:PORT|- ...] [--probe-ms MS] [--topology PATH]
@@ -32,7 +32,9 @@
 //! catalog is durable: every mutation is journaled to a write-ahead log
 //! before it is acknowledged — one `shard-<k>/` store (LOCK, WAL,
 //! snapshots) per shard — and a restarted server recovers every shard
-//! exactly, answering bit-identically to the killed process. Automatic
+//! exactly, answering bit-identically to the killed process. Every
+//! acknowledged mutation is one fsync; `--group-commit-us 0` names that
+//! and is accepted only so existing launch lines keep working. Automatic
 //! answers always take the cheapest feasible plan by analytic step
 //! count; `--planner cost` names that policy and is accepted only so
 //! existing launch lines keep working (a request pins any other plan
@@ -152,7 +154,6 @@ const COMMANDS: &[CommandSpec] = &[
             "data-dir",
             "group-commit-us",
             "shards",
-            "ttl-ms",
             "max-inflight",
             "max-subs-per-conn",
             "slow-ms",
@@ -249,9 +250,9 @@ fn usage() -> String {
      [--query TEXT] [--generator uniform|uniform-deletions|preference] \
      [--exact | --eps E --delta D] [--seed N] [--max-states N]\n  \
      serve: [--listen HOST:PORT] [--workers N] [--conn-workers N] \
-     [--cache ENTRIES] [--planner cost] [--shards N] [--ttl-ms MS] \
+     [--cache ENTRIES] [--planner cost] [--shards N] \
      [--max-inflight N] [--max-subs-per-conn N] [--data-dir PATH] \
-     [--group-commit-us US] [--slow-ms MS] [--metrics-addr HOST:PORT] \
+     [--group-commit-us 0] [--slow-ms MS] [--metrics-addr HOST:PORT] \
      [--replicate-to HOST:PORT]\n  \
      route: --upstream HOST:PORT [--upstream HOST:PORT ...] \
      [--standby HOST:PORT|- ...] [--probe-ms MS] [--topology PATH] \
@@ -369,10 +370,6 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             .filter(|n| *n > 0)
             .ok_or("--shards expects a positive number")?;
     }
-    if let Some(n) = args.options.get("ttl-ms") {
-        // 0 is meaningful: it disables time-based expiry explicitly.
-        config.ttl_ms = n.parse::<u64>().map_err(|_| "--ttl-ms expects a number")?;
-    }
     if let Some(n) = args.options.get("max-inflight") {
         config.max_inflight = n
             .parse::<usize>()
@@ -383,25 +380,19 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     config.slow_ms = slow_ms_option(args)?;
     config.max_subs_per_conn = max_subs_option(args)?;
     let conn_workers = conn_workers_option(args)?;
-    let group_commit_us = match args.options.get("group-commit-us") {
-        // 0 (the default) keeps the one-fsync-per-append behavior.
-        Some(n) => n
-            .parse::<u64>()
-            .map_err(|_| "--group-commit-us expects a number")?,
-        None => 0,
-    };
-    if group_commit_us > 0 && !args.options.contains_key("data-dir") {
-        return Err("--group-commit-us needs --data-dir (nothing to fsync without a store)".into());
+    // One commit rule remains, one fsync per acknowledged mutation; `0`
+    // names it so existing launch lines keep starting.
+    if let Some(us) = args.options.get("group-commit-us").filter(|us| *us != "0") {
+        return Err(format!(
+            "--group-commit-us {us} is no longer supported: every acknowledged mutation \
+             is one fsync; pass 0 or omit the option"
+        ));
     }
     let engine = match args.options.get("data-dir") {
         Some(dir) => {
             let mut backends: Vec<std::sync::Arc<dyn ocqa_engine::StorageBackend>> = Vec::new();
-            let store_opts = ocqa_store::StoreOptions {
-                group_commit_us,
-                ..ocqa_store::StoreOptions::default()
-            };
             for shard_dir in shard_dirs(std::path::Path::new(dir), config.shards)? {
-                let backend = ocqa_store::DiskBackend::with_options(&shard_dir, store_opts)
+                let backend = ocqa_store::DiskBackend::open(&shard_dir)
                     .map_err(|e| format!("{}: {e}", shard_dir.display()))?;
                 backends.push(std::sync::Arc::new(backend));
             }

@@ -174,6 +174,14 @@ fn unknown_options_rejected_per_command() {
         stderr.contains("unknown option --exact"),
         "stderr: {stderr}"
     );
+    // Nor is there a cache TTL: an answer lives until a version bump or
+    // LRU eviction.
+    let (_, stderr, ok) = ocqa(&["serve", "--ttl-ms", "5"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown option --ttl-ms"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -223,6 +231,37 @@ fn planner_flag_accepts_only_cost() {
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("\"pong\":true"));
+}
+
+#[test]
+fn group_commit_flag_accepts_only_zero() {
+    let dir = std::env::temp_dir().join(format!("ocqa-cli-gc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let (_, stderr, ok) = ocqa(&["serve", "--group-commit-us", "500", "--data-dir", dir_arg]);
+    assert!(!ok, "--group-commit-us 500 must be refused");
+    assert!(stderr.contains("one fsync"), "stderr: {stderr}");
+    // `0` names the one commit rule and still starts a durable server.
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ocqa"))
+        .args(["serve", "--group-commit-us", "0", "--data-dir", dir_arg])
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ocqa serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"pong\":true"));
+    assert!(dir.join("shard-0").join("wal.log").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -8,54 +8,14 @@
 //! hot database with frequent updates cannot fill the cache with dead
 //! versions.
 //!
-//! # ε/δ dominance
-//!
-//! Lookups additionally reuse answers across accuracy levels. The
-//! **dominance rule**: a cached tally computed at `(ε′, δ′)` may serve a
-//! request for `(ε, δ)` whenever `ε′ ≤ ε` **and** `δ′ ≤ δ` and every
-//! other key component (database, version, query, generator, plan, seed)
-//! matches exactly. Soundness: the Hoeffding walk budget
-//! `n(ε, δ) = ⌈ln(2/δ)/(2ε²)⌉` is monotonically non-increasing in both
-//! parameters, so the dominating tally used *at least* as many walks as
-//! the request requires — its estimates satisfy the looser additive
-//! error bound with at least the requested confidence. When several
-//! entries dominate, the tightest `(ε′, δ′)` (lexicographically smallest)
-//! is served, deterministically. The seed still has to match: a response
-//! must remain a pure function of its request against a given database
-//! version *and the cache contents*, and walks drawn under a different
-//! seed would silently change the reported estimates between "cached"
-//! and "computed" serves.
-//!
-//! Note the deliberate carve-out in the engine's determinism story: a
-//! dominated hit returns the tighter computation's estimates, which
-//! differ numerically from what a cold compute at the requested `(ε, δ)`
-//! would produce. This is observable, not silent — the response carries
-//! `cached: true` and the tighter run's `walks` — and the substituted
-//! estimates satisfy the request's accuracy contract with margin. The
-//! bit-identity guarantees (across pool sizes, across restarts) are
-//! therefore stated for **computed** answers: a cache-missing request
-//! yields the same bytes on any engine at the same database version.
-//!
-//! # Time-to-live
-//!
-//! Version bumps bound staleness for *explicit* updates, but some
-//! workloads bound it by **time** instead — the database is mutated out
-//! of band (a restored snapshot swapped underneath, an upstream source
-//! whose drift is tolerated for a while), or operators simply want
-//! estimates re-drawn periodically. A cache built with
-//! [`AnswerCache::with_ttl`] stamps every entry at insert and expires it
-//! **lazily on lookup**: a hit older than the TTL is removed, counted in
-//! [`CacheStats::expired`], and reported as a miss, so the caller
-//! recomputes exactly as if the entry had never been stored. Dominance
-//! scans skip expired entries for the same reason. No sweeper thread
-//! exists — an entry that is never looked up again ages out through
-//! ordinary LRU eviction.
+//! Only an exact key serves. A hit therefore returns the tally a
+//! recompute of the same request would draw, so an answer's bytes never
+//! depend on what the cache happened to hold.
 
 use crate::planner::PlanKind;
 use ocqa_core::sample::SampleTally;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Upper bound on retained invalidation floors (see
 /// [`AnswerCache::invalidate_db`]); above it the lowest — oldest —
@@ -93,9 +53,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// The subset of `hits` served by ε/δ dominance (a tighter cached
-    /// estimate answering a looser request; see the module docs).
-    pub dominated_hits: u64,
     /// Entries dropped by explicit invalidation.
     pub invalidated: u64,
     /// Entries evicted by capacity pressure.
@@ -103,8 +60,6 @@ pub struct CacheStats {
     /// Inserts rejected because their version was below the database's
     /// invalidation floor (an in-flight answer finishing after an update).
     pub stale_drops: u64,
-    /// Entries dropped on lookup because they outlived the cache TTL.
-    pub expired: u64,
 }
 
 impl CacheStats {
@@ -113,11 +68,9 @@ impl CacheStats {
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.dominated_hits += other.dominated_hits;
         self.invalidated += other.invalidated;
         self.evicted += other.evicted;
         self.stale_drops += other.stale_drops;
-        self.expired += other.expired;
     }
 }
 
@@ -126,15 +79,11 @@ struct Slot {
     // tuple map under the cache lock.
     tally: Arc<SampleTally>,
     last_used: u64,
-    inserted_at: Instant,
 }
 
 /// A least-recently-used cache of answer tallies.
 pub struct AnswerCache {
     capacity: usize,
-    /// Per-entry time-to-live; `None` means entries live until a version
-    /// bump or LRU eviction (the historical behavior).
-    ttl: Option<Duration>,
     slots: HashMap<CacheKey, Slot>,
     /// Per-database minimum acceptable version, set by
     /// [`invalidate_db`](Self::invalidate_db). An `answer` that sampled
@@ -148,17 +97,10 @@ pub struct AnswerCache {
 }
 
 impl AnswerCache {
-    /// A cache holding at most `capacity` entries (min 1), without TTL.
+    /// A cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> AnswerCache {
-        AnswerCache::with_ttl(capacity, None)
-    }
-
-    /// A cache whose entries additionally expire `ttl` after insertion
-    /// (lazily, on lookup). `None` disables time-based expiry.
-    pub fn with_ttl(capacity: usize, ttl: Option<Duration>) -> AnswerCache {
         AnswerCache {
             capacity: capacity.max(1),
-            ttl,
             slots: HashMap::new(),
             floors: HashMap::new(),
             tick: 0,
@@ -166,78 +108,21 @@ impl AnswerCache {
         }
     }
 
-    /// Whether a slot inserted at `at` has outlived the TTL.
-    fn expired(&self, at: Instant, now: Instant) -> bool {
-        self.ttl
-            .is_some_and(|ttl| now.saturating_duration_since(at) >= ttl)
-    }
-
-    /// Looks up a key, refreshing its recency on hit. An exact match wins;
-    /// otherwise the tightest **dominating** entry — same database,
-    /// version, query, generator, plan and seed, with `ε′ ≤ ε` and
-    /// `δ′ ≤ δ` — serves the request (see the module docs for why that is
-    /// sound). Entries older than the TTL are expired here: removed,
-    /// counted, and reported as a miss.
+    /// Looks up a key, refreshing its recency on hit. Only an exact match
+    /// serves: every key component, ε and δ included, must be equal.
     pub fn get(&mut self, key: &CacheKey) -> Option<Arc<SampleTally>> {
         self.tick += 1;
-        let now = Instant::now();
-        if self
-            .slots
-            .get(key)
-            .is_some_and(|slot| self.expired(slot.inserted_at, now))
-        {
-            // Remove the expired exact entry but *fall through* to the
-            // dominance scan: a live tighter entry may still serve this
-            // request, saving the recompute.
-            self.slots.remove(key);
-            self.stats.expired += 1;
-        }
-        if let Some(slot) = self.slots.get_mut(key) {
-            slot.last_used = self.tick;
-            self.stats.hits += 1;
-            return Some(slot.tally.clone());
-        }
-        if let Some(dominating) = self.find_dominating(key, now) {
-            let slot = self.slots.get_mut(&dominating).expect("key from scan");
-            slot.last_used = self.tick;
-            self.stats.hits += 1;
-            self.stats.dominated_hits += 1;
-            return Some(slot.tally.clone());
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Scans for the tightest entry dominating `key` (exact key already
-    /// known absent). Linear in the live entry count — bounded by the
-    /// capacity, and only paid on the miss path, where the alternative is
-    /// a full sampling run many orders of magnitude dearer. Expired
-    /// entries never dominate (they are skipped, not removed — removal
-    /// stays on the exact-hit path).
-    fn find_dominating(&self, key: &CacheKey, now: Instant) -> Option<CacheKey> {
-        let eps = f64::from_bits(key.eps_bits);
-        let delta = f64::from_bits(key.delta_bits);
-        let mut best: Option<(f64, f64, &CacheKey)> = None;
-        for (k, slot) in self.slots.iter() {
-            if self.expired(slot.inserted_at, now) {
-                continue;
+        match self.slots.get_mut(key) {
+            Some(slot) => {
+                slot.last_used = self.tick;
+                self.stats.hits += 1;
+                Some(slot.tally.clone())
             }
-            if k.db != key.db
-                || k.version != key.version
-                || k.query != key.query
-                || k.generator != key.generator
-                || k.plan != key.plan
-                || k.seed != key.seed
-            {
-                continue;
-            }
-            let (e, d) = (f64::from_bits(k.eps_bits), f64::from_bits(k.delta_bits));
-            // NaN bit patterns never dominate (comparisons are false).
-            if e <= eps && d <= delta && best.is_none_or(|(be, bd, _)| (e, d) < (be, bd)) {
-                best = Some((e, d, k));
+            None => {
+                self.stats.misses += 1;
+                None
             }
         }
-        best.map(|(_, _, k)| k.clone())
     }
 
     /// Inserts a computed tally, evicting the least-recently-used entry
@@ -272,7 +157,6 @@ impl AnswerCache {
             Slot {
                 tally,
                 last_used: self.tick,
-                inserted_at: Instant::now(),
             },
         );
     }
@@ -367,48 +251,6 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 3));
     }
 
-    fn key_at(db: &str, version: u64, seed: u64, eps: f64, delta: f64) -> CacheKey {
-        CacheKey {
-            eps_bits: eps.to_bits(),
-            delta_bits: delta.to_bits(),
-            ..key(db, version, seed)
-        }
-    }
-
-    #[test]
-    fn tighter_entry_serves_looser_request() {
-        let mut cache = AnswerCache::new(8);
-        cache.insert(key_at("db", 1, 0, 0.05, 0.05), tally(600));
-        // Looser ε and δ: dominated hit, returning the tighter tally.
-        let got = cache.get(&key_at("db", 1, 0, 0.1, 0.1)).unwrap();
-        assert_eq!(got.walks, 600);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.dominated_hits, s.misses), (1, 1, 0));
-        // Equal ε/δ is an exact hit, not a dominated one.
-        assert!(cache.get(&key_at("db", 1, 0, 0.05, 0.05)).is_some());
-        assert_eq!(cache.stats().dominated_hits, 1);
-        // Tighter-than-cached requests miss: the cached walks are too few.
-        assert!(cache.get(&key_at("db", 1, 0, 0.01, 0.05)).is_none());
-        // Mixed dominance (tighter ε, looser δ) is not dominance.
-        assert!(cache.get(&key_at("db", 1, 0, 0.2, 0.01)).is_none());
-        // A different seed never reuses, however loose the request.
-        assert!(cache.get(&key_at("db", 1, 9, 0.5, 0.5)).is_none());
-        // Neither does a different version.
-        assert!(cache.get(&key_at("db", 2, 0, 0.5, 0.5)).is_none());
-    }
-
-    #[test]
-    fn tightest_dominating_entry_wins() {
-        let mut cache = AnswerCache::new(8);
-        cache.insert(key_at("db", 1, 0, 0.08, 0.08), tally(200));
-        cache.insert(key_at("db", 1, 0, 0.05, 0.09), tally(400));
-        cache.insert(key_at("db", 1, 0, 0.06, 0.02), tally(300));
-        // All three dominate (0.1, 0.1); the lexicographically tightest
-        // (ε first) is chosen deterministically.
-        let got = cache.get(&key_at("db", 1, 0, 0.1, 0.1)).unwrap();
-        assert_eq!(got.walks, 400);
-    }
-
     #[test]
     fn lru_evicts_oldest() {
         let mut cache = AnswerCache::new(2);
@@ -463,59 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries_lazily_on_lookup() {
-        let mut cache = AnswerCache::with_ttl(8, Some(Duration::from_millis(20)));
-        cache.insert(key("db", 1, 0), tally(150));
-        // Fresh entries hit normally.
-        assert!(cache.get(&key("db", 1, 0)).is_some());
-        std::thread::sleep(Duration::from_millis(60));
-        // Past the TTL the entry is removed on lookup and reported as a
-        // miss — the caller recomputes as if it had never been cached.
-        assert!(cache.get(&key("db", 1, 0)).is_none());
-        let s = cache.stats();
-        assert_eq!((s.expired, s.misses, s.hits), (1, 1, 1));
-        assert_eq!(cache.len(), 0, "expired entry must free its slot");
-        // Re-inserting restarts the clock.
-        cache.insert(key("db", 1, 0), tally(150));
-        assert!(cache.get(&key("db", 1, 0)).is_some());
-    }
-
-    #[test]
-    fn ttl_applies_to_dominance_too() {
-        let mut cache = AnswerCache::with_ttl(8, Some(Duration::from_millis(20)));
-        cache.insert(key_at("db", 1, 0, 0.05, 0.05), tally(600));
-        assert!(cache.get(&key_at("db", 1, 0, 0.1, 0.1)).is_some());
-        std::thread::sleep(Duration::from_millis(60));
-        // An expired entry must not serve a looser request either.
-        assert!(cache.get(&key_at("db", 1, 0, 0.1, 0.1)).is_none());
-        // But an expired *exact* entry falls through to dominance: a
-        // live tighter entry still saves the recompute.
-        cache.insert(key_at("db", 1, 0, 0.1, 0.1), tally(150));
-        std::thread::sleep(Duration::from_millis(30));
-        cache.insert(key_at("db", 1, 0, 0.05, 0.05), tally(600));
-        let got = cache.get(&key_at("db", 1, 0, 0.1, 0.1)).unwrap();
-        assert_eq!(got.walks, 600, "fresh dominating entry serves");
-        // Only the exact-hit removal counts an expiry; dominance scans
-        // skip expired entries without removing them.
-        assert_eq!(cache.stats().expired, 1);
-        // A TTL-less cache never expires.
-        let mut forever = AnswerCache::new(8);
-        forever.insert(key("db", 1, 0), tally(1));
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(forever.get(&key("db", 1, 0)).is_some());
-        assert_eq!(forever.stats().expired, 0);
-    }
-
-    #[test]
     fn stats_merge_sums_every_counter() {
         let a = CacheStats {
             hits: 1,
             misses: 2,
-            dominated_hits: 3,
             invalidated: 4,
             evicted: 5,
             stale_drops: 6,
-            expired: 7,
         };
         let mut b = a;
         b.merge(&a);
@@ -524,11 +320,9 @@ mod tests {
             CacheStats {
                 hits: 2,
                 misses: 4,
-                dominated_hits: 6,
                 invalidated: 8,
                 evicted: 10,
                 stale_drops: 12,
-                expired: 14,
             }
         );
     }

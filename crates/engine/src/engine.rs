@@ -54,11 +54,6 @@ pub struct EngineConfig {
     pub max_walks: u64,
     /// Number of shards the catalog is partitioned over (min 1).
     pub shards: usize,
-    /// Per-entry answer-cache time-to-live in milliseconds; `0` disables
-    /// time-based expiry (entries then live until a version bump or LRU
-    /// eviction). For workloads whose staleness budget is time- rather
-    /// than version-bounded.
-    pub ttl_ms: u64,
     /// Per-shard admission limit on *concurrent sampling runs* (cache
     /// hits and coalesced followers don't count). Beyond it requests are
     /// rejected with [`EngineError::ShardFull`] instead of queueing
@@ -83,7 +78,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             max_walks: 1_000_000,
             shards: 1,
-            ttl_ms: 0,
             max_inflight: 1024,
             slow_ms: 0,
             max_subs_per_conn: 64,
@@ -384,7 +378,6 @@ impl Engine {
                 delta,
                 seed,
                 plan,
-                window,
             } => {
                 self.front.begin_request();
                 let k = self.front.shard_of(&db);
@@ -394,9 +387,9 @@ impl Engine {
                     Ok(query) => query,
                     Err(e) => return self.tag_shard(EngineResponse::Error(e), k),
                 };
-                let resp = match self.shards[k].subscribe(
-                    session, &db, &query, &generator, eps, delta, seed, plan, window,
-                ) {
+                let resp = match self.shards[k]
+                    .subscribe(session, &db, &query, &generator, eps, delta, seed, plan)
+                {
                     Ok(sub) => EngineResponse::Subscribed { db, sub },
                     Err(e) => EngineResponse::Error(e),
                 };
@@ -1421,40 +1414,37 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_cached_answers() {
-        let e = Engine::new(EngineConfig {
-            workers: 2,
-            cache_capacity: 64,
-            ttl_ms: 30,
-            ..EngineConfig::default()
-        });
-        create_kv(&e);
-        let req = || EngineRequest::Answer {
-            db: "kv".into(),
-            query: QueryRef::Text("(x) <- exists y: R(x,y)".into()),
-            generator: "uniform".into(),
-            eps: 0.1,
-            delta: 0.1,
-            seed: 5,
-            plan: None,
+    fn answer_bytes_do_not_depend_on_cache_history() {
+        // A reply is a function of its request and the database version,
+        // never of what an earlier request left in the cache: a tighter
+        // (ε, δ) answer must not serve a looser request.
+        let reply = |e: &Engine, eps: f64, delta: f64| {
+            let mut v = e
+                .handle(EngineRequest::Answer {
+                    db: "prefs".into(),
+                    query: QueryRef::Text("(x) <- exists y: Pref(x,y)".into()),
+                    generator: "uniform".into(),
+                    eps,
+                    delta,
+                    seed: 5,
+                    plan: None,
+                })
+                .to_json();
+            if let Json::Obj(m) = &mut v {
+                m.retain(|k, _| !k.starts_with("cache_"));
+            }
+            v.to_string()
         };
-        let EngineResponse::Answer(cold) = e.handle(req()) else {
-            panic!()
-        };
-        assert!(!cold.cached);
-        let EngineResponse::Answer(warm) = e.handle(req()) else {
-            panic!()
-        };
-        assert!(warm.cached, "within the TTL the entry serves");
-        std::thread::sleep(std::time::Duration::from_millis(90));
-        let EngineResponse::Answer(late) = e.handle(req()) else {
-            panic!()
-        };
-        assert!(!late.cached, "past the TTL the answer is recomputed");
-        assert_eq!(late.answers, cold.answers, "recompute is deterministic");
-        let s = stats_of(&e);
-        assert_eq!(s.cache.expired, 1);
-        assert_eq!(s.walks, 300, "two computations, one expiry");
+        let a = engine();
+        create_prefs(&a);
+        reply(&a, 0.05, 0.05);
+        let after_tighter = reply(&a, 0.1, 0.1);
+        let b = engine();
+        create_prefs(&b);
+        let fresh = reply(&b, 0.1, 0.1);
+        assert_eq!(after_tighter, fresh);
+        assert!(fresh.contains("\"cached\":false"), "{fresh}");
+        assert!(fresh.contains("\"walks\":150"), "{fresh}");
     }
 
     #[test]

@@ -1632,11 +1632,9 @@ fn parse_stats(v: &Json) -> Result<(String, ShardStats, u64), String> {
         cache: crate::cache::CacheStats {
             hits: num("cache_hits")?,
             misses: num("cache_misses")?,
-            dominated_hits: num("cache_dominated_hits")?,
             invalidated: num("cache_invalidated")?,
             evicted: num("cache_evicted")?,
             stale_drops: num("cache_stale_drops")?,
-            expired: num("cache_expired")?,
         },
     };
     let backend = v

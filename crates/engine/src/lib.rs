@@ -39,9 +39,9 @@
 //!   otherwise monolithic chain walks) and every `answer` routes down
 //!   the cheapest sound path for its generator, reported back as the
 //!   response's `plan` field;
-//! * [`AnswerCache`] — an LRU keyed by database version × query ×
-//!   generator × ε/δ × seed, invalidated by catalog updates, with an
-//!   optional per-entry TTL for time-bounded staleness;
+//! * [`AnswerCache`] — an exact-key LRU keyed by database version ×
+//!   query × generator × plan × ε/δ × seed, invalidated by catalog
+//!   updates;
 //! * [`SingleFlight`] — answer-path coalescing: N concurrent cache
 //!   misses for one fully-qualified key block on a single sampling run
 //!   and share its (bit-identical) result;

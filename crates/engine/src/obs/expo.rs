@@ -83,11 +83,9 @@ fn render_stats(out: &mut String, stats: &Json) {
         "coalesced",
         "cache_hits",
         "cache_misses",
-        "cache_dominated_hits",
         "cache_invalidated",
         "cache_evicted",
         "cache_stale_drops",
-        "cache_expired",
     ];
     for key in counters {
         if let Some(v) = stats.get(key).and_then(Json::as_u64) {
@@ -144,8 +142,6 @@ fn render_metrics(out: &mut String, metrics: &Json) {
     let _ = writeln!(out, "# TYPE ocqa_push_latency_us histogram");
     let _ = writeln!(out, "# TYPE ocqa_subs_shed_total counter");
     let _ = writeln!(out, "# TYPE ocqa_shard_subscriptions gauge");
-    let _ = writeln!(out, "# TYPE ocqa_wal_batch_records histogram");
-    let _ = writeln!(out, "# TYPE ocqa_wal_fsync_latency_us histogram");
     for entry in shards {
         let shard = entry.get("shard").and_then(Json::as_u64).unwrap_or(0);
         let Ok(snap) = MetricsSnapshot::from_json(entry) else {
@@ -185,25 +181,6 @@ fn render_metrics(out: &mut String, metrics: &Json) {
             out,
             "ocqa_shard_subscriptions{{shard=\"{shard}\"}} {}",
             snap.subscriptions
-        );
-        // WAL group commit: batch sizes are raw record counts in the
-        // same log2 buckets, fsync latency is µs like every other
-        // latency series.
-        render_hist(
-            out,
-            "ocqa_wal_batch_records",
-            "log",
-            "wal",
-            shard,
-            &snap.wal_batch,
-        );
-        render_hist(
-            out,
-            "ocqa_wal_fsync_latency_us",
-            "log",
-            "wal",
-            shard,
-            &snap.wal_fsync_us,
         );
     }
 }
@@ -368,16 +345,6 @@ mod tests {
         );
         assert!(
             text.contains("ocqa_shard_subscriptions{shard=\"0\"} 0"),
-            "{text}"
-        );
-        // WAL group-commit series render even on a memory backend
-        // (empty histograms, fixed schema).
-        assert!(
-            text.contains("ocqa_wal_batch_records_count{log=\"wal\",shard=\"0\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("ocqa_wal_fsync_latency_us_count{log=\"wal\",shard=\"0\"} 0"),
             "{text}"
         );
     }

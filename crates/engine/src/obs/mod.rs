@@ -191,8 +191,6 @@ impl ShardMetrics {
             push: self.push.snapshot(),
             shed: self.shed.load(Ordering::Relaxed),
             subscriptions: 0,
-            wal_batch: HistSnapshot::default(),
-            wal_fsync_us: HistSnapshot::default(),
         }
     }
 }
@@ -214,12 +212,6 @@ pub struct MetricsSnapshot {
     /// Live subscriptions on the shard at snapshot time. Merging sums,
     /// so a router's `total` counts each shard's gauge exactly once.
     pub subscriptions: u64,
-    /// WAL group commit: records covered per batch fsync (raw counts,
-    /// not µs). Stamped by the shard from its storage backend; empty on
-    /// memory backends and with group commit off.
-    pub wal_batch: HistSnapshot,
-    /// WAL group commit: batch `sync_data` latency, µs.
-    pub wal_fsync_us: HistSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -237,8 +229,6 @@ impl MetricsSnapshot {
         self.push.merge(&other.push);
         self.shed += other.shed;
         self.subscriptions += other.subscriptions;
-        self.wal_batch.merge(&other.wal_batch);
-        self.wal_fsync_us.merge(&other.wal_fsync_us);
     }
 
     /// Renders the snapshot's three histogram families. Every op, plan
@@ -265,8 +255,6 @@ impl MetricsSnapshot {
             ("shed", Json::from(self.shed)),
             ("stages", family(&stage_labels, &self.stages)),
             ("subscriptions", Json::from(self.subscriptions)),
-            ("wal_batch", self.wal_batch.to_json()),
-            ("wal_fsync_us", self.wal_fsync_us.to_json()),
         ])
     }
 
@@ -309,8 +297,6 @@ impl MetricsSnapshot {
             push: hist("push")?,
             shed: counter("shed")?,
             subscriptions: counter("subscriptions")?,
-            wal_batch: hist("wal_batch")?,
-            wal_fsync_us: hist("wal_fsync_us")?,
         })
     }
 }
@@ -331,12 +317,6 @@ mod tests {
         m.record_shed();
         let mut snap = m.snapshot();
         snap.subscriptions = seed % 3;
-        // Stamp WAL commit stats the way a shard does from its backend.
-        let wal = Histogram::new();
-        wal.record_value(seed + 4);
-        snap.wal_batch = wal.snapshot();
-        wal.record(Duration::from_micros(seed * 90));
-        snap.wal_fsync_us = wal.snapshot();
         snap
     }
 
@@ -387,8 +367,6 @@ mod tests {
             "\"push\"",
             "\"shed\"",
             "\"subscriptions\"",
-            "\"wal_batch\"",
-            "\"wal_fsync_us\"",
         ] {
             assert!(empty.contains(label), "{label} missing from {empty}");
         }
@@ -401,10 +379,6 @@ mod tests {
         // Same for the streaming keys.
         let mut v = crate::json::parse(&rendered).unwrap();
         v.remove("shed");
-        assert!(MetricsSnapshot::from_json(&v).is_err());
-        // And for the WAL group-commit histograms.
-        let mut v = crate::json::parse(&rendered).unwrap();
-        v.remove("wal_fsync_us");
         assert!(MetricsSnapshot::from_json(&v).is_err());
     }
 }

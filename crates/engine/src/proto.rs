@@ -131,9 +131,6 @@ pub enum EngineRequest {
         seed: u64,
         /// Explicit plan override (`None` = automatic planner routing).
         plan: Option<PlanKind>,
-        /// Push every `window`-th touching update (1 = every touching
-        /// update) — a thinning window for append-heavy feeds.
-        window: u64,
     },
     /// Cancel a subscription registered on this session.
     Unsubscribe {
@@ -288,20 +285,14 @@ impl EngineRequest {
             }
             "subscribe" => {
                 let (query, generator, eps, delta, seed, plan) = query_params(v, op)?;
-                let window = match v.get("window") {
-                    None => 1,
-                    Some(j) => {
-                        let w = j.as_u64().ok_or_else(|| {
-                            EngineError::BadRequest("\"window\" must be a positive integer".into())
-                        })?;
-                        if w == 0 {
-                            return Err(EngineError::BadRequest(
-                                "\"window\" must be a positive integer".into(),
-                            ));
-                        }
-                        w
-                    }
-                };
+                // Pushes are not thinned: every touching update pushes.
+                // Refuse a thinning request rather than silently push
+                // more often than an older client asked for.
+                if v.get("window").is_some_and(|w| w.as_u64() != Some(1)) {
+                    return Err(EngineError::BadRequest(
+                        "\"window\" is not supported: every touching update is pushed".into(),
+                    ));
+                }
                 Ok(EngineRequest::Subscribe {
                     db: str_field("db")?,
                     query,
@@ -310,7 +301,6 @@ impl EngineRequest {
                     delta,
                     seed,
                     plan,
-                    window,
                 })
             }
             "unsubscribe" => Ok(EngineRequest::Unsubscribe {
@@ -665,11 +655,9 @@ impl EngineResponse {
                 ("subscriptions", Json::from(s.subscriptions)),
                 ("cache_hits", Json::from(s.cache.hits)),
                 ("cache_misses", Json::from(s.cache.misses)),
-                ("cache_dominated_hits", Json::from(s.cache.dominated_hits)),
                 ("cache_invalidated", Json::from(s.cache.invalidated)),
                 ("cache_evicted", Json::from(s.cache.evicted)),
                 ("cache_stale_drops", Json::from(s.cache.stale_drops)),
-                ("cache_expired", Json::from(s.cache.expired)),
                 ("uptime_ms", Json::from(s.uptime_ms)),
                 ("build", Json::from(s.build.clone())),
                 ("replication_lag", Json::from(s.replication_lag)),
@@ -867,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_subscribe_with_defaults_and_window() {
+    fn parses_subscribe_with_defaults_and_refuses_window() {
         let v = json::parse(r#"{"op":"subscribe","db":"d","query":"(x) <- R(x)"}"#).unwrap();
         assert_eq!(
             EngineRequest::from_json(&v).unwrap(),
@@ -879,23 +867,23 @@ mod tests {
                 delta: 0.1,
                 seed: 0,
                 plan: None,
-                window: 1,
             }
         );
-        let v = json::parse(r#"{"op":"subscribe","db":"d","prepared":"q1","window":3}"#).unwrap();
-        let EngineRequest::Subscribe { query, window, .. } = EngineRequest::from_json(&v).unwrap()
-        else {
+        // `"window":1` is what every subscription does, so it parses.
+        let v = json::parse(r#"{"op":"subscribe","db":"d","prepared":"q1","window":1}"#).unwrap();
+        let EngineRequest::Subscribe { query, .. } = EngineRequest::from_json(&v).unwrap() else {
             panic!("expected subscribe request");
         };
         assert_eq!(query, QueryRef::Prepared("q1".into()));
-        assert_eq!(window, 3);
-        // A zero window would suppress every push; reject it up front.
-        let v =
-            json::parse(r#"{"op":"subscribe","db":"d","query":"(x) <- R(x)","window":0}"#).unwrap();
-        assert!(matches!(
-            EngineRequest::from_json(&v),
-            Err(EngineError::BadRequest(_))
-        ));
+        // Any other window asked for thinned pushes; refuse it.
+        for window in ["0", "3", "\"2\"", "1.5"] {
+            let line =
+                format!(r#"{{"op":"subscribe","db":"d","prepared":"q1","window":{window}}}"#);
+            assert!(matches!(
+                EngineRequest::from_json(&json::parse(&line).unwrap()),
+                Err(EngineError::BadRequest(_))
+            ));
+        }
     }
 
     #[test]

@@ -170,11 +170,10 @@ impl ShardEngine {
         catalog.raise_version_floor(state.next_version);
         let mut prepared = PreparedRegistry::new();
         prepared.restore(state.prepared, state.prepared_next)?;
-        let ttl = (config.ttl_ms > 0).then(|| Duration::from_millis(config.ttl_ms));
         Ok(Arc::new_cyclic(|self_ref| ShardEngine {
             id,
             catalog: RwLock::new(catalog),
-            cache: Mutex::new(AnswerCache::with_ttl(config.cache_capacity, ttl)),
+            cache: Mutex::new(AnswerCache::new(config.cache_capacity)),
             prepared: RwLock::new(prepared),
             backend,
             pool: SamplerPool::new(config.workers),
@@ -622,15 +621,10 @@ impl ShardEngine {
 
     /// A snapshot of this shard's latency-metrics registry (the
     /// `metrics` protocol op's per-shard unit), stamped with the live
-    /// subscription gauge and the backend's WAL group-commit
-    /// histograms.
+    /// subscription gauge.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         snap.subscriptions = self.subs.len() as u64;
-        if let Some((batch, fsync)) = self.backend.wal_commit_stats() {
-            snap.wal_batch = batch;
-            snap.wal_fsync_us = fsync;
-        }
         snap
     }
 
@@ -669,7 +663,6 @@ impl ShardEngine {
         delta: f64,
         seed: u64,
         plan: Option<PlanKind>,
-        window: u64,
     ) -> Result<u64, EngineError> {
         if eps <= 0.0 || eps >= 1.0 || delta <= 0.0 || delta >= 1.0 {
             return Err(EngineError::BadRequest(
@@ -709,8 +702,6 @@ impl ShardEngine {
             delta,
             seed,
             plan,
-            window,
-            pending: AtomicU64::new(0),
             session: session.clone(),
         }));
         // Session teardown (disconnect, or the server loop closing the
@@ -758,9 +749,6 @@ impl ShardEngine {
             return;
         }
         for sub in self.subs.affected(db, touched) {
-            if !sub.window_admits() {
-                continue;
-            }
             if sub.session.is_closed() {
                 self.subs.remove(sub.id);
                 continue;
@@ -1103,7 +1091,7 @@ mod tests {
         let session = PushSession::new();
         let q = QueryRef::Text("(x) <- exists y: R(x,y)".into());
         let id = e
-            .subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 7, None, 1)
+            .subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 7, None)
             .unwrap();
         assert_eq!(e.stats().subscriptions, 1);
         // Clean-region append: no push, and — pinned via the walk
@@ -1151,12 +1139,12 @@ mod tests {
             .unwrap();
         let session = PushSession::new();
         let q = QueryRef::Text("(x) <- exists y: R(x,y)".into());
-        e.subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 0, None, 1)
+        e.subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 0, None)
             .unwrap();
-        e.subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 1, None, 1)
+        e.subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 1, None)
             .unwrap();
         let err = e
-            .subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 2, None, 1)
+            .subscribe(&session, "kv", &q, "uniform", 0.1, 0.1, 2, None)
             .unwrap_err();
         assert!(matches!(err, EngineError::BadRequest(_)), "{err}");
         assert!(err.to_string().contains("subscription limit"), "{err}");
@@ -1188,7 +1176,6 @@ mod tests {
             0.1,
             0,
             None,
-            1,
         )
         .unwrap();
         assert_eq!(e.stats().subscriptions, 1);

@@ -109,14 +109,6 @@ pub trait StorageBackend: Send + Sync {
     /// record at or below the recovered counter is a refolded duplicate
     /// and is skipped, mirroring the version guards on catalog records.
     fn journal_prepare(&self, text: &str, ordinal: u64) -> Result<(), EngineError>;
-
-    /// WAL group-commit observability: `(records-per-fsync, fsync
-    /// latency µs)` histograms, for backends that journal through a
-    /// group-committed log. `None` (the default) for backends without
-    /// one; the shard then reports empty series.
-    fn wal_commit_stats(&self) -> Option<(crate::obs::HistSnapshot, crate::obs::HistSnapshot)> {
-        None
-    }
 }
 
 /// The no-op backend: nothing persists, recovery is empty. Exactly the

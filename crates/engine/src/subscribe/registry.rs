@@ -54,23 +54,11 @@ pub struct Subscription {
     pub seed: u64,
     /// Explicit plan override (`None` = planner routing).
     pub plan: Option<PlanKind>,
-    /// Push every `window`-th touching update.
-    pub window: u64,
-    /// Touching updates seen so far (the window counter).
-    pub pending: AtomicU64,
     /// The owning connection's push channel.
     pub session: PushSession,
 }
 
 impl Subscription {
-    /// Counts one touching update; `true` when the window admits a push
-    /// (the `window`-th, `2·window`-th, … touch; every touch when the
-    /// window is 1).
-    pub fn window_admits(&self) -> bool {
-        let seen = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        seen.is_multiple_of(self.window)
-    }
-
     /// Whether an update touching `touched` (sorted relation names)
     /// intersects this query's footprint.
     pub fn reads_any(&self, touched: &[String]) -> bool {
@@ -172,7 +160,7 @@ mod tests {
     use super::*;
     use ocqa_logic::parser;
 
-    fn sub(id: u64, db: &str, relations: &[&str], window: u64) -> Arc<Subscription> {
+    fn sub(id: u64, db: &str, relations: &[&str]) -> Arc<Subscription> {
         Arc::new(Subscription {
             id,
             db: db.into(),
@@ -183,8 +171,6 @@ mod tests {
             delta: 0.1,
             seed: 0,
             plan: None,
-            window,
-            pending: AtomicU64::new(0),
             session: PushSession::new(),
         })
     }
@@ -198,9 +184,9 @@ mod tests {
     #[test]
     fn affected_filters_by_db_and_footprint() {
         let reg = SubscriptionRegistry::new();
-        reg.insert(sub(1, "a", &["R"], 1));
-        reg.insert(sub(2, "a", &["S"], 1));
-        reg.insert(sub(3, "b", &["R"], 1));
+        reg.insert(sub(1, "a", &["R"]));
+        reg.insert(sub(2, "a", &["S"]));
+        reg.insert(sub(3, "b", &["R"]));
         let hits = reg.affected("a", &["R".into()]);
         assert_eq!(hits.iter().map(|s| s.id).collect::<Vec<_>>(), vec![1]);
         assert!(reg.affected("a", &["T".into()]).is_empty());
@@ -210,12 +196,5 @@ mod tests {
         assert!(reg.remove(3).is_some());
         assert!(reg.remove(3).is_none());
         assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn window_admits_every_nth_touch() {
-        let s = sub(1, "a", &["R"], 3);
-        let admitted: Vec<bool> = (0..6).map(|_| s.window_admits()).collect();
-        assert_eq!(admitted, vec![false, false, true, false, false, true]);
     }
 }

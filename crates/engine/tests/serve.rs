@@ -286,7 +286,7 @@ fn sharded_server_reports_shards_over_the_wire() {
     assert!(resp.contains("\"answers\":1"), "{resp}");
     assert!(resp.contains("\"walks\":150"), "{resp}");
     assert!(resp.contains("\"coalesced\":0"), "{resp}");
-    assert!(resp.contains("\"cache_expired\":0"), "{resp}");
+    assert!(resp.contains("\"cache_stale_drops\":0"), "{resp}");
 }
 
 #[test]

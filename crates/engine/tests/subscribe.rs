@@ -198,35 +198,33 @@ fn pushes_land_only_for_touching_updates() {
 }
 
 #[test]
-fn window_thins_pushes_to_every_nth_touch() {
-    let addr = spawn_engine(EngineConfig {
+fn window_other_than_one_is_refused_identically_everywhere() {
+    // Every touching update pushes. A client that still asks for thinned
+    // pushes gets a structured bad request, not a silent switch to
+    // every-update pushes; `"window":1` asks for what happens anyway.
+    let direct_addr = spawn_engine(EngineConfig {
         workers: 1,
         cache_capacity: 16,
         ..EngineConfig::default()
     });
-    let mut control = Client::connect(&addr);
-    let mut sub = Client::connect(&addr);
-    assert!(control.request(CREATE).contains("\"ok\":true"));
-    let windowed = r#"{"op":"subscribe","db":"prefs","query":"(x) <- exists y: R(x,y)","eps":0.1,"delta":0.1,"seed":7,"window":2}"#;
-    assert_eq!(field_u64(&sub.request(windowed), "sub"), 1);
-
-    // Two touching updates: the window admits only the second.
-    assert!(control
-        .request(r#"{"op":"insert","db":"prefs","facts":"R(1,30)."}"#)
-        .contains("\"ok\":true"));
-    assert!(control
-        .request(r#"{"op":"insert","db":"prefs","facts":"R(1,31)."}"#)
-        .contains("\"ok\":true"));
-    let frame = sub.recv();
-    assert_eq!(field_u64(&frame, "db_version"), 3, "{frame}");
-
-    // `window: 0` is rejected at parse time.
-    let bad = sub
-        .request(r#"{"op":"subscribe","db":"prefs","query":"(x) <- exists y: R(x,y)","window":0}"#);
-    assert!(
-        bad.contains(r#"\"window\" must be a positive integer"#) && bad.contains("\"ok\":false"),
-        "{bad}"
-    );
+    let routed_addr = spawn_routed(1, 1, 16, 64);
+    let windowed = |w: &str| {
+        format!(
+            r#"{{"op":"subscribe","db":"prefs","query":"(x) <- exists y: R(x,y)","eps":0.1,"delta":0.1,"seed":7,"window":{w}}}"#
+        )
+    };
+    for addr in [&direct_addr, &routed_addr] {
+        let mut c = Client::connect(addr);
+        assert!(c.request(CREATE).contains("\"ok\":true"));
+        for w in ["0", "2"] {
+            assert_eq!(
+                c.request(&windowed(w)),
+                r#"{"error":"bad request: \"window\" is not supported: every touching update is pushed","ok":false}"#,
+                "window {w} at {addr}"
+            );
+        }
+        assert_eq!(field_u64(&c.request(&windowed("1")), "sub"), 1);
+    }
 }
 
 #[test]

@@ -4,9 +4,7 @@
 use crate::error::StoreError;
 use crate::store::{Store, StoreOptions};
 use crate::wal::WalRecord;
-use ocqa_engine::{
-    DbImage, EngineError, HistSnapshot, RecoveredState, StorageBackend, UpdateDelta,
-};
+use ocqa_engine::{DbImage, EngineError, RecoveredState, StorageBackend, UpdateDelta};
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::Arc;
@@ -127,9 +125,5 @@ impl StorageBackend for DiskBackend {
             text: text.to_string(),
             ordinal,
         })
-    }
-
-    fn wal_commit_stats(&self) -> Option<(HistSnapshot, HistSnapshot)> {
-        Some(self.store.commit_stats())
     }
 }

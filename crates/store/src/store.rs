@@ -33,13 +33,12 @@
 use crate::error::StoreError;
 use crate::wal::{self, WalRecord, WalWriter};
 use crate::wire::{self, Manifest};
-use ocqa_engine::{DbImage, HistSnapshot, Histogram, RecoveredState};
+use ocqa_engine::{DbImage, RecoveredState};
 use ocqa_logic::{incremental, parser, ConstraintSet};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Store tunables.
 #[derive(Debug, Clone, Copy)]
@@ -50,21 +49,12 @@ pub struct StoreOptions {
     /// compaction is retried on the next append); the `DiskBackend`
     /// forwards the signal to its background compactor thread.
     pub compact_wal_bytes: u64,
-    /// Group-commit window in microseconds (`--group-commit-us`). `0`
-    /// keeps the historical behavior: every append pays its own
-    /// `sync_data`. Above zero, concurrent appends write to the OS
-    /// immediately but acknowledge only after a *shared* fsync: the
-    /// first waiter becomes the batch leader, sleeps this window so
-    /// followers can pile on, then issues one `sync_data` covering the
-    /// whole batch.
-    pub group_commit_us: u64,
 }
 
 impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             compact_wal_bytes: 4 << 20,
-            group_commit_us: 0,
         }
     }
 }
@@ -80,55 +70,12 @@ pub struct CompactionSummary {
     pub folded_wal_bytes: u64,
 }
 
-/// Group-commit coordination: who is durable, and whether a leader is
-/// currently collecting a batch.
-struct CommitState {
-    /// Highest WAL `seq` known to be on stable storage.
-    synced_seq: u64,
-    /// A leader is sleeping its window / running the batch fsync.
-    leader_active: bool,
-    /// Bumped on every failed batch fsync; waiters that entered before
-    /// the failure surface the error instead of acking.
-    err_epoch: u64,
-    last_error: String,
-}
-
-/// The leader/follower protocol around one shared `sync_data`.
-struct GroupCommit {
-    state: std::sync::Mutex<CommitState>,
-    wake: std::sync::Condvar,
-    /// Records appended since the last fsync — the next batch's size.
-    pending: std::sync::atomic::AtomicU64,
-    /// Records-per-fsync distribution (raw counts, not µs).
-    batch_hist: Histogram,
-    /// Batch `sync_data` latency distribution, µs.
-    fsync_hist: Histogram,
-}
-
-impl GroupCommit {
-    fn new() -> GroupCommit {
-        GroupCommit {
-            state: std::sync::Mutex::new(CommitState {
-                synced_seq: 0,
-                leader_active: false,
-                err_epoch: 0,
-                last_error: String::new(),
-            }),
-            wake: std::sync::Condvar::new(),
-            pending: std::sync::atomic::AtomicU64::new(0),
-            batch_hist: Histogram::new(),
-            fsync_hist: Histogram::new(),
-        }
-    }
-}
-
 /// A disk-backed store (see the module docs for the layout and the
 /// crash-consistency argument).
 pub struct Store {
     dir: PathBuf,
     opts: StoreOptions,
     wal: Mutex<WalWriter>,
-    commit: GroupCommit,
     /// Serializes compactions (background thread vs. explicit calls):
     /// folding reads and rewrites the manifest generation, which must not
     /// interleave.
@@ -172,7 +119,6 @@ impl Store {
                 &dir.join("wal.log"),
                 wal::scan(&dir.join("wal.log"))?.valid_len,
             )?),
-            commit: GroupCommit::new(),
             compaction: Mutex::new(()),
             _lock: lock,
         };
@@ -198,18 +144,14 @@ impl Store {
         self.dir.join("snapshots")
     }
 
-    /// Appends one record durably. Returns `true` whenever the active
-    /// log is at or above the compaction threshold after the append.
+    /// Appends one record durably: it is written and `sync_data`ed under
+    /// the WAL lock before this returns, so every acknowledged mutation
+    /// is one fsync. Returns `true` whenever the active log is at or
+    /// above the compaction threshold after the append.
     /// Level-triggered on purpose: if a compaction fails (transient IO
     /// error), the very next append re-raises the signal, so the log can
     /// never grow unboundedly behind a single missed edge. The compactor
     /// coalesces the resulting burst of signals.
-    ///
-    /// With [`StoreOptions::group_commit_us`] above zero the append
-    /// itself only reaches the OS; this call then blocks until a batch
-    /// fsync at/past the record's sequence number completes, so the
-    /// caller's acknowledgement still implies durability — `kill -9`
-    /// mid-batch can lose *unacknowledged* appends only.
     pub fn append(&self, record: &WalRecord) -> Result<bool, StoreError> {
         self.append_encoded(&record.encode())
     }
@@ -217,92 +159,9 @@ impl Store {
     /// [`append`](Store::append) for an already-encoded record payload
     /// (see [`WalRecord::encode_install`]).
     pub fn append_encoded(&self, payload: &[u8]) -> Result<bool, StoreError> {
-        let (my_seq, crossed) = {
-            let mut wal = self.wal.lock();
-            wal.append_unsynced(payload)?;
-            if self.opts.group_commit_us == 0 {
-                wal.sync()?;
-                return Ok(wal.bytes() >= self.opts.compact_wal_bytes);
-            }
-            (wal.seq(), wal.bytes() >= self.opts.compact_wal_bytes)
-        };
-        self.commit
-            .pending
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.wait_durable(my_seq)?;
-        Ok(crossed)
-    }
-
-    /// Blocks until a batch fsync covers WAL sequence `target`,
-    /// volunteering as the batch leader when nobody else is.
-    fn wait_durable(&self, target: u64) -> Result<(), StoreError> {
-        let window = Duration::from_micros(self.opts.group_commit_us);
-        let mut state = lock_commit(&self.commit.state);
-        let entry_epoch = state.err_epoch;
-        loop {
-            if state.synced_seq >= target {
-                return Ok(());
-            }
-            if state.err_epoch != entry_epoch {
-                // The batch fsync that should have covered us failed: the
-                // record may not be durable, so the mutation must not be
-                // acknowledged. (A later batch's successful fsync would
-                // also have covered us — this branch only runs when the
-                // failure arrived first.)
-                return Err(StoreError::Io(std::io::Error::other(
-                    state.last_error.clone(),
-                )));
-            }
-            if !state.leader_active {
-                state.leader_active = true;
-                drop(state);
-                // Collect the batch: followers appending during this
-                // window share the single fsync below.
-                if !window.is_zero() {
-                    std::thread::sleep(window);
-                }
-                let started = Instant::now();
-                let (covered_seq, result) = {
-                    let mut wal = self.wal.lock();
-                    let covered = wal.seq();
-                    (covered, wal.sync())
-                };
-                self.commit.fsync_hist.record(started.elapsed());
-                let batch = self
-                    .commit
-                    .pending
-                    .swap(0, std::sync::atomic::Ordering::Relaxed);
-                if batch > 0 {
-                    self.commit.batch_hist.record_value(batch);
-                }
-                state = lock_commit(&self.commit.state);
-                state.leader_active = false;
-                match result {
-                    Ok(()) => state.synced_seq = state.synced_seq.max(covered_seq),
-                    Err(e) => {
-                        state.err_epoch += 1;
-                        state.last_error = format!("group commit fsync failed: {e}");
-                    }
-                }
-                self.commit.wake.notify_all();
-                continue;
-            }
-            state = self
-                .commit
-                .wake
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Group-commit observability: `(records-per-fsync, fsync latency
-    /// µs)` histograms. Both stay empty while
-    /// [`StoreOptions::group_commit_us`] is `0`.
-    pub fn commit_stats(&self) -> (HistSnapshot, HistSnapshot) {
-        (
-            self.commit.batch_hist.snapshot(),
-            self.commit.fsync_hist.snapshot(),
-        )
+        let mut wal = self.wal.lock();
+        wal.append(payload)?;
+        Ok(wal.bytes() >= self.opts.compact_wal_bytes)
     }
 
     /// Bytes currently in the active log.
@@ -413,12 +272,6 @@ impl Store {
         }
         self.fold_rotated_log()
     }
-}
-
-fn lock_commit(state: &std::sync::Mutex<CommitState>) -> std::sync::MutexGuard<'_, CommitState> {
-    state
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn write_atomically(path: &Path, data: &[u8]) -> Result<(), StoreError> {

@@ -61,7 +61,7 @@ pub enum WalRecord {
 
 /// Hard cap on one record's payload: the frame header stores the length
 /// as a `u32`, so anything larger would silently wrap and corrupt the
-/// log. [`WalWriter::append_unsynced`] rejects oversized records up
+/// log. [`WalWriter::append`] rejects oversized records up
 /// front — the journal call fails and vetoes the mutation instead.
 pub const MAX_RECORD_PAYLOAD: u64 = u32::MAX as u64;
 
@@ -212,10 +212,6 @@ pub struct WalWriter {
     path: PathBuf,
     file: File,
     bytes: u64,
-    /// Monotone count of records ever appended through this writer —
-    /// unlike `bytes`, never reset by rotation, which is what makes it a
-    /// safe durability watermark for the group-commit protocol.
-    seq: u64,
 }
 
 impl WalWriter {
@@ -240,7 +236,6 @@ impl WalWriter {
             path: path.to_path_buf(),
             file,
             bytes: valid_len,
-            seq: 0,
         };
         writer.seek_end()?;
         Ok(writer)
@@ -252,16 +247,14 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Appends one encoded record payload ([`WalRecord::encode`]) to the
-    /// OS (write + flush) **without** forcing it to stable storage: the
-    /// caller follows with [`sync`](Self::sync) — per append, or once
-    /// per group-commit batch — and must not acknowledge the record
-    /// until a sync at/after its [`seq`](Self::seq) completes. A payload
-    /// above [`MAX_RECORD_PAYLOAD`] is rejected before any byte is
-    /// written — the `u32` length field would wrap and corrupt the log,
-    /// losing every acknowledged record behind the bad frame on the next
-    /// recovery.
-    pub fn append_unsynced(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+    /// Appends one encoded record payload ([`WalRecord::encode`]):
+    /// frames it, writes and flushes it, then forces it to stable storage
+    /// (`sync_data`), so the record is durable when this returns. A
+    /// payload above [`MAX_RECORD_PAYLOAD`] is rejected before any byte
+    /// is written — the `u32` length field would wrap and corrupt the
+    /// log, losing every acknowledged record behind the bad frame on the
+    /// next recovery.
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         if payload.len() as u64 > MAX_RECORD_PAYLOAD {
             return Err(StoreError::TooLarge(payload.len() as u64));
         }
@@ -272,12 +265,6 @@ impl WalWriter {
         self.file.write_all(&framed)?;
         self.file.flush()?;
         self.bytes += framed.len() as u64;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Forces every appended record to stable storage (`sync_data`).
-    pub fn sync(&mut self) -> Result<(), StoreError> {
         self.file.sync_data()?;
         Ok(())
     }
@@ -285,12 +272,6 @@ impl WalWriter {
     /// Bytes in the log (header + payload, valid prefix only).
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Records ever appended through this writer (monotone across
-    /// rotation).
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 
     /// Rotates the log: the current file moves to `rotated` and a fresh

@@ -233,7 +233,6 @@ fn compaction_folds_wal_into_snapshots() {
     // signalled path.
     let opts = StoreOptions {
         compact_wal_bytes: u64::MAX,
-        ..StoreOptions::default()
     };
     {
         let backend = Arc::new(DiskBackend::with_options(&dir, opts).unwrap());
@@ -289,7 +288,6 @@ fn background_compactor_eventually_compacts() {
     // transient wal.old is allowed to come and go).
     let opts = StoreOptions {
         compact_wal_bytes: 256,
-        ..StoreOptions::default()
     };
     {
         let backend = Arc::new(DiskBackend::with_options(&dir, opts).unwrap());
@@ -360,7 +358,6 @@ fn dropped_databases_stay_dropped_through_compaction() {
     let dir = temp_dir("dropcompact");
     let opts = StoreOptions {
         compact_wal_bytes: u64::MAX, // no background interference
-        ..StoreOptions::default()
     };
     {
         let backend = Arc::new(DiskBackend::with_options(&dir, opts).unwrap());
@@ -454,7 +451,6 @@ fn refolded_prepare_records_replay_idempotently() {
 
     let opts = StoreOptions {
         compact_wal_bytes: u64::MAX,
-        ..StoreOptions::default()
     };
     {
         let store = ocqa_store::Store::open(&dir, opts).unwrap();
@@ -493,9 +489,8 @@ fn direct_wal_scan_reports_valid_prefix() {
                 text: format!("(x) <- R(x, {i})"),
                 ordinal: i + 1,
             };
-            w.append_unsynced(&record.encode()).unwrap();
+            w.append(&record.encode()).unwrap();
         }
-        w.sync().unwrap();
     }
     let full = std::fs::read(&path).unwrap();
     let scan = ocqa_store::wal::scan(&path).unwrap();
@@ -569,16 +564,14 @@ mod proptests {
 }
 
 #[test]
-fn group_commit_concurrent_appends_are_durable_and_batched() {
-    // Eight mutator threads race through the leader/follower protocol;
-    // every acked append must be covered by a batch fsync, and the
-    // batch-size histogram's sum must account for each acked record
-    // exactly once.
-    let dir = temp_dir("groupcommit");
+fn concurrent_appends_are_durable_and_untorn() {
+    // Eight mutator threads append at once. Frames are written and
+    // synced under the WAL lock, so every acked record must scan back
+    // whole and the interleaved log must recover.
+    let dir = temp_dir("concurrent");
     std::fs::create_dir_all(&dir).unwrap();
     let opts = StoreOptions {
         compact_wal_bytes: u64::MAX,
-        group_commit_us: 2_000,
     };
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 16;
@@ -602,51 +595,10 @@ fn group_commit_concurrent_appends_are_durable_and_batched() {
         for h in handles {
             h.join().unwrap();
         }
-        let (batch, fsync) = store.commit_stats();
-        assert_eq!(batch.sum_us, THREADS * PER_THREAD, "every ack counted once");
-        assert!(batch.count >= 1, "at least one batch fsync");
-        assert!(
-            batch.count <= THREADS * PER_THREAD,
-            "batches never exceed acks"
-        );
-        assert_eq!(
-            fsync.count, batch.count,
-            "one latency sample per batch fsync"
-        );
     }
-    // The interleaved log replays cleanly: frames are appended under the
-    // writer lock, so concurrency must not tear them.
     let store = ocqa_store::Store::open(&dir, opts).unwrap();
     let scan = ocqa_store::wal::scan(&dir.join("wal.log")).unwrap();
     assert_eq!(scan.records.len(), (THREADS * PER_THREAD) as usize);
     store.read_state().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn group_commit_restart_is_bit_identical() {
-    // The whole restart drill again, now with batched fsyncs: grouping
-    // must change neither what survives a stop nor a single answer bit.
-    let dir = temp_dir("gc-bitident");
-    let opts = StoreOptions {
-        compact_wal_bytes: u64::MAX,
-        group_commit_us: 1_500,
-    };
-    let first_answer = {
-        let e = engine_at(&dir, opts);
-        assert!(e.handle_line(CREATE).to_string().contains("\"ok\":true"));
-        let first_answer = e.handle_line(ANSWER).to_string();
-        assert!(first_answer.contains("\"cached\":false"), "{first_answer}");
-        first_answer
-    };
-    // Restart with group commit *off*: the log bytes are identical, so
-    // recovery and re-answering must be too.
-    let e = engine_at(&dir, StoreOptions::default());
-    let replayed = e.handle_line(ANSWER).to_string();
-    assert_eq!(
-        replayed.replace("\"cached\":true", "\"cached\":false"),
-        first_answer,
-        "group-committed log must replay bit-identically"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

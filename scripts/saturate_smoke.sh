@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Saturation smoke test: a bounded connection-worker pool (2 workers)
 # multiplexing 64 concurrent clients of mixed answer/insert load over a
-# group-committed store, then `kill -9`. Every insert the server
+# durable store (one fsync per acknowledged mutation), then `kill -9`. Every insert the server
 # acknowledged before the kill must be durable: the restarted store's
 # fact count has to equal the base facts plus every acked insert.
 #
@@ -25,7 +25,7 @@ PER_CLIENT=4
 BASE_FACTS=5
 
 "$BIN" serve --listen 127.0.0.1:0 --workers 2 --conn-workers 2 \
-    --group-commit-us 1000 --data-dir "$DATA" > /dev/null 2> "$WORK/err" &
+    --data-dir "$DATA" > /dev/null 2> "$WORK/err" &
 SERVE_PID=$!
 
 PORT=""

@@ -148,43 +148,3 @@ if ! diff -q "$WORK/out5" "$WORK/out6" > /dev/null; then
 fi
 
 echo "OK: --shards 4 kill -9 recovery restores every shard bit-identically"
-
-# ============ Group commit: batched fsyncs stay crash-safe ============
-# A burst of acknowledged inserts under --group-commit-us rides one (or
-# few) fsyncs; after kill -9 the restarted server — group commit *off*,
-# since durability must not depend on the grouping knob — holds every
-# acknowledged record and answers bit-identically.
-GC="$WORK/gc"
-mkfifo "$WORK/in7"
-"$BIN" serve --workers 2 --data-dir "$GC" --group-commit-us 2000 < "$WORK/in7" > "$WORK/out7" 2>/dev/null &
-SERVE_PID=$!
-exec 5> "$WORK/in7"
-printf '%s\n' "$CREATE" >&5
-for I in $(seq 1 8); do
-    printf '{"op":"insert","db":"kv","facts":"R(%s,%s)."}\n' "$((10 + I))" "$((100 + I))" >&5
-done
-printf '%s\n' "$ANSWER" >&5
-
-for _ in $(seq 1 100); do
-    [[ "$(wc -l < "$WORK/out7")" -ge 10 ]] && break
-    sleep 0.1
-done
-[[ "$(wc -l < "$WORK/out7")" -ge 10 ]] || { echo "FAIL: group-commit server produced no answer"; exit 1; }
-
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-exec 5>&-
-
-GC_ANSWER="$(sed -n '10p' "$WORK/out7")"
-grep -q '"answers"' <<< "$GC_ANSWER" || { echo "FAIL: unexpected group-commit answer: $GC_ANSWER"; exit 1; }
-
-printf '%s\n' "$ANSWER" | "$BIN" serve --workers 2 --data-dir "$GC" > "$WORK/out8" 2>/dev/null
-GC_RESTORED="$(sed -n '1p' "$WORK/out8")"
-if [[ "$GC_ANSWER" != "$GC_RESTORED" ]]; then
-    echo "FAIL: group-committed log did not replay bit-identically"
-    echo "  before kill: $GC_ANSWER"
-    echo "  after kill:  $GC_RESTORED"
-    exit 1
-fi
-
-echo "OK: --group-commit-us batches survive kill -9 bit-identically"
