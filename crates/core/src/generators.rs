@@ -107,7 +107,10 @@ pub trait ChainGenerator: Send + Sync {
     /// whenever this is called).
     fn weights(&self, state: &RepairState, ops: &[Operation]) -> Result<Vec<Rat>, GeneratorError>;
 
-    /// Validates a weight vector (helper shared by the engine).
+    /// Validates a weight vector (helper shared by the engine). The sum is
+    /// checked in machine words when the weights allow it and in `Rat`
+    /// otherwise; both accept exactly the same vectors, and errors always
+    /// come from the `Rat` path.
     fn validated(
         &self,
         state: &RepairState,
@@ -119,6 +122,9 @@ pub trait ChainGenerator: Send + Sync {
             return Err(GeneratorError::NegativeWeight {
                 generator: self.name().to_string(),
             });
+        }
+        if crate::word::sum_is_one(&w) == Some(true) {
+            return Ok(w);
         }
         let sum: Rat = w.iter().sum();
         if !sum.is_one() {
@@ -599,5 +605,52 @@ mod tests {
             g.validated(&s, &ops),
             Err(GeneratorError::NotADistribution { .. })
         ));
+    }
+
+    #[test]
+    fn validated_word_sum_matches_rat_sum() {
+        // Differential: `validated` accepts and rejects exactly as the
+        // `Rat` sum does, with the same error, on distributions (including
+        // ones whose lcm leaves the word range) and on copies that miss 1,
+        // lose a weight or carry a negative one.
+        let s = state("R(a,b). R(a,c).", "R(x,y), R(x,z) -> y = z.");
+        let mut checked = (0, 0);
+        for (w, _) in crate::word::testing::distributions() {
+            let mut over = w.clone();
+            over[0] += &Rat::ratio(1, 997);
+            let mut negated = w.clone();
+            negated[0] = -negated[0].clone();
+            let shorter = w[..w.len() - 1].to_vec();
+            for w in [w, over, negated, shorter] {
+                if w.is_empty() {
+                    continue;
+                }
+                let ops: Vec<Operation> = (0..w.len())
+                    .map(|i| Operation::delete(vec![Fact::parts("R", &["a", &i.to_string()])]))
+                    .collect();
+                let sum: Rat = w.iter().sum();
+                let expected = if w.iter().any(Rat::is_negative) {
+                    Err(GeneratorError::NegativeWeight {
+                        generator: "fixed".into(),
+                    })
+                } else if sum.is_one() {
+                    Ok(w.clone())
+                } else {
+                    Err(GeneratorError::NotADistribution {
+                        generator: "fixed".into(),
+                        sum: sum.to_string(),
+                    })
+                };
+                if let Some(one) = crate::word::sum_is_one(&w) {
+                    assert_eq!(one, expected.is_ok(), "{w:?}");
+                }
+                checked.0 += usize::from(expected.is_ok());
+                checked.1 += usize::from(expected.is_err());
+                let fixed = w.clone();
+                let g = WeightFnGenerator::new("fixed", move |_, _| fixed.clone());
+                assert_eq!(g.validated(&s, &ops), expected, "{w:?}");
+            }
+        }
+        assert!(checked.0 >= 300 && checked.1 >= 600, "{checked:?}");
     }
 }

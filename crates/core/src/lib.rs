@@ -42,6 +42,7 @@ mod operation;
 mod patch;
 pub mod sample;
 mod state;
+mod word;
 
 pub use base::BaseDomain;
 pub use generators::{

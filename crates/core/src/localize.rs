@@ -16,7 +16,7 @@
 //! distribution, verified in the tests against the monolithic exploration.
 
 use crate::explore::{self, ExploreError, ExploreOptions, RepairDistribution, RepairInfo};
-use crate::sample::{self, SampleError, SampleTally, WalkOutcome};
+use crate::sample::{self, SampleError, SampleTally};
 use crate::{ChainGenerator, RepairContext};
 use ocqa_data::{Database, Fact};
 use ocqa_logic::{DeletionOverlay, Query};
@@ -324,18 +324,18 @@ impl ComponentSampler {
             deleted.clear();
             let mut walk_failed = false;
             for ((sub, facts), rng) in self.subs.iter().zip(&self.sub_facts).zip(&mut rngs) {
-                match sample::sample_walk(sub, gen, rng)? {
-                    WalkOutcome::Repair(db) => {
-                        for fact in facts {
-                            if !db.contains(fact) {
-                                deleted.insert(fact.clone());
-                            }
-                        }
+                let end = sample::walk_to_end(sub, gen, rng)?;
+                // A failing component is unreachable for denial-fragment
+                // sets (deletion-only chains cannot fail), but kept sound:
+                // it fails the composed walk.
+                if !end.is_consistent() {
+                    walk_failed = true;
+                    continue;
+                }
+                for fact in facts {
+                    if !end.db().contains(fact) {
+                        deleted.insert(fact.clone());
                     }
-                    // Unreachable for denial-fragment sets (deletion-only
-                    // chains cannot fail), but kept sound: a failing
-                    // component fails the composed walk.
-                    WalkOutcome::Failed(_) => walk_failed = true,
                 }
             }
             if walk_failed {

@@ -97,27 +97,46 @@ pub fn sample_walk(
     gen: &dyn ChainGenerator,
     rng: &mut StdRng,
 ) -> Result<WalkOutcome, SampleError> {
+    let end = walk_to_end(ctx, gen, rng)?;
+    Ok(if end.is_consistent() {
+        WalkOutcome::Repair(end.db().clone())
+    } else {
+        WalkOutcome::Failed(end.db().clone())
+    })
+}
+
+/// The walk behind [`sample_walk`], advancing one state in place and
+/// returning the complete end state, so callers read the repair by
+/// reference instead of taking an owned copy of it.
+pub(crate) fn walk_to_end(
+    ctx: &Arc<RepairContext>,
+    gen: &dyn ChainGenerator,
+    rng: &mut StdRng,
+) -> Result<RepairState, SampleError> {
     let mut state = RepairState::initial(ctx.clone());
     loop {
         let exts = state.extensions();
         if exts.is_empty() {
-            return Ok(if state.is_consistent() {
-                WalkOutcome::Repair(state.db().clone())
-            } else {
-                WalkOutcome::Failed(state.db().clone())
-            });
+            return Ok(state);
         }
         let weights = gen.validated(&state, &exts)?;
         let idx = draw_index(&weights, rng);
-        state = state.apply(&exts[idx]);
+        state.advance(&exts[idx]);
     }
 }
 
 /// Draws an index with probability proportional to the (exact) weights.
 /// The random threshold is `r / 2⁶⁴` for a uniform `u64 r`, compared
-/// against exact cumulative sums — no floating-point bias.
+/// against exact cumulative sums — no floating-point bias. The comparison
+/// runs in machine words when the weights allow it (see `crate::word`)
+/// and in `Rat` otherwise; both pick the same index.
 fn draw_index(weights: &[Rat], rng: &mut StdRng) -> usize {
     let r = rng.next_u64();
+    crate::word::draw(weights, r).unwrap_or_else(|| rat_draw_index(weights, r))
+}
+
+/// [`draw_index`]'s exact `Rat` path for the threshold `r / 2⁶⁴`.
+fn rat_draw_index(weights: &[Rat], r: u64) -> usize {
     let threshold = Rat::new(
         IBig::from(r),
         IBig::from(ocqa_num::UBig::one().shl_bits(64)),
@@ -129,8 +148,9 @@ fn draw_index(weights: &[Rat], rng: &mut StdRng) -> usize {
             return i;
         }
     }
-    // Only reachable through rounding of a sub-1 total; pick the last
-    // positive weight.
+    // Unreachable for weights that passed `ChainGenerator::validated`:
+    // they sum to exactly 1 and the threshold is below 1. Kept so a
+    // sub-1 total still draws the last positive weight.
     weights
         .iter()
         .rposition(|w| w.is_positive())
@@ -167,9 +187,11 @@ fn walk_repairs(
 ) -> Result<u64, SampleError> {
     let mut failed = 0u64;
     for _ in 0..walks {
-        match sample_walk(ctx, gen, rng)? {
-            WalkOutcome::Repair(db) => leaf(&db),
-            WalkOutcome::Failed(_) => failed += 1,
+        let end = walk_to_end(ctx, gen, rng)?;
+        if end.is_consistent() {
+            leaf(end.db());
+        } else {
+            failed += 1;
         }
     }
     Ok(failed)
@@ -408,6 +430,34 @@ mod tests {
     }
 
     #[test]
+    fn word_draw_matches_rat_draw() {
+        // Differential: for every test distribution and for random
+        // thresholds and thresholds on and beside each prefix sum, the
+        // word path picks the `Rat` path's index, and it defers to `Rat`
+        // exactly when the denominators' lcm leaves the word range.
+        let mut rng = StdRng::seed_from_u64(9);
+        for (w, fits) in crate::word::testing::distributions() {
+            let mut thresholds = vec![0, 1, (1 << 63) - 1, 1 << 63, u64::MAX];
+            thresholds.extend((0..32).map(|_| rng.next_u64()));
+            let mut acc = Rat::zero();
+            for x in &w {
+                acc += x;
+                let (q, _) = acc.numer().magnitude().shl_bits(64).div_rem(acc.denom());
+                if let Some(q) = q.to_u64() {
+                    thresholds.extend([q.wrapping_sub(1), q, q.wrapping_add(1)]);
+                }
+            }
+            for r in thresholds {
+                let word = crate::word::draw(&w, r);
+                assert_eq!(word.is_some(), fits, "{w:?}");
+                if let Some(i) = word {
+                    assert_eq!(i, rat_draw_index(&w, r), "{w:?} at r = {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn walks_always_terminate_in_repairs_for_keys() {
         let ctx = make_ctx(
             "R(a,b). R(a,c). R(b,b). R(b,c).",
@@ -626,6 +676,104 @@ mod tests {
         assert_eq!(t.counts, BTreeMap::from([(vec![a], 75)]));
         assert_eq!((t.walks, t.failed_walks), (150, 75));
         assert_eq!(rng.next_u64(), 13190667099566277290);
+    }
+
+    #[test]
+    fn walk_kernel_matches_values_recorded_before_the_in_place_step() {
+        // Differential pin: every figure below was printed by the walk
+        // kernel that cloned the state per step, drew through `Rat` sums
+        // and re-checked every eliminated violation (commit 94b7b14), for
+        // the same seeds. `next` is the RNG's next output after the call.
+        let gen = UniformGenerator::new();
+
+        // The `cold_walk` benchmark instance: 50 clean keys, each in all
+        // 150 repairs, and 8 conflicting pairs with keys 50–57, whose
+        // counts are pinned in key order.
+        let w = ocqa_workload::KeyConflictWorkload::generate(&ocqa_workload::KeyConflictSpec {
+            clean_tuples: 50,
+            conflict_groups: 8,
+            group_size: 2,
+            value_domain: 1_000,
+            seed: derive_seed(1, 100),
+        });
+        let cold = RepairContext::new(w.db, w.sigma);
+        assert_eq!(cold.d0().len(), 66);
+        let q = parser::parse_query("(x) <- exists y: R(x, y)").unwrap();
+        let recorded: [(u64, [u64; 8], u64); 4] = [
+            (
+                1,
+                [94, 109, 95, 104, 105, 97, 91, 100],
+                10553710275064124258,
+            ),
+            (
+                2,
+                [105, 104, 96, 110, 102, 102, 96, 97],
+                13277046204210322871,
+            ),
+            (3, [92, 116, 98, 97, 101, 99, 102, 89], 9637364185658597337),
+            (
+                4,
+                [107, 101, 89, 103, 107, 102, 107, 112],
+                5605371944297506328,
+            ),
+        ];
+        for (seed, conflicts, next) in recorded {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = sample_tally(&cold, &gen, &q, 150, &mut rng).unwrap();
+            assert_eq!((t.walks, t.failed_walks), (150, 0));
+            let expected: BTreeMap<Vec<Constant>, u64> = (0..50)
+                .map(|x| (x, 150))
+                .chain((50..).zip(conflicts))
+                .map(|(x, k)| (vec![Constant::int(x)], k))
+                .collect();
+            assert_eq!(t.counts, expected, "seed {seed}");
+            assert_eq!(rng.next_u64(), next, "seed {seed}");
+        }
+
+        // Example 3's Σ, whose walks insert S-witnesses and may then fail
+        // global justification: Example 3's own instance, and a larger one
+        // with longer walks. Counts are pinned per S(_, y, z) witness in
+        // (y, z) order.
+        let sigma = "R(x,y) -> exists z: S(x,y,z). R(x,y), R(x,z) -> y = z.";
+        let ex3 = make_ctx("R(a,b). R(a,c). T(a,b).", sigma);
+        let ex3b = make_ctx("R(a,b). R(a,c). R(b,c). R(b,d). R(c,d). S(b,c,a).", sigma);
+        let q = parser::parse_query("(y, z) <- exists x: S(x, y, z)").unwrap();
+        let check =
+            |ctx: &Arc<RepairContext>, ys: &str, zs: &str, seed, counts: &[u64], failed, next| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let t = sample_tally(ctx, &gen, &q, 150, &mut rng).unwrap();
+                let name = |c: char| Constant::named(&c.to_string());
+                let witnesses = ys
+                    .chars()
+                    .flat_map(|y| zs.chars().map(move |z| vec![name(y), name(z)]));
+                let expected: BTreeMap<Vec<Constant>, u64> =
+                    witnesses.zip(counts.iter().copied()).collect();
+                assert_eq!(t.counts, expected, "seed {seed}");
+                assert_eq!((t.walks, t.failed_walks), (150, failed), "seed {seed}");
+                assert_eq!(rng.next_u64(), next, "seed {seed}");
+            };
+        check(
+            &ex3,
+            "bc",
+            "abc",
+            1,
+            &[11, 8, 7, 11, 7, 11],
+            82,
+            18188257950246328127,
+        );
+        check(
+            &ex3,
+            "bc",
+            "abc",
+            2,
+            &[8, 10, 8, 7, 5, 8],
+            85,
+            6089650416508853444,
+        );
+        let counts = [7, 7, 4, 7, 60, 4, 6, 4, 18, 21, 23, 16];
+        check(&ex3b, "bcd", "abcd", 1, &counts, 90, 8544325042545428273);
+        let counts = [5, 3, 4, 6, 65, 7, 4, 5, 24, 31, 23, 20];
+        check(&ex3b, "bcd", "abcd", 2, &counts, 85, 11400257578721602215);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{justified, BaseDomain, FactSet, Operation, PatchSource};
 use ocqa_data::{Database, Fact};
-use ocqa_logic::{ConstraintSet, Violation, ViolationSet};
+use ocqa_logic::{Constraint, ConstraintSet, Violation, ViolationSet};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -106,7 +106,8 @@ struct AdditionRecord {
 /// * **local justification** — `op` is `(D^s_i, Σ)`-justified (Def. 3);
 /// * **req1** — implied by justification;
 /// * **req2** — `op` must not reintroduce any previously eliminated
-///   violation (checked pointwise against the accumulated eliminated set);
+///   violation (checked pointwise against the accumulated eliminated set,
+///   skipping the violations `op` cannot touch);
 /// * **no cancellation** — `op` must not delete a previously added fact or
 ///   add a previously deleted one;
 /// * **global justification of additions** — after a deletion, every
@@ -203,14 +204,33 @@ impl RepairState {
     }
 
     /// req2: no previously eliminated violation may hold again in `op(D)`.
+    ///
+    /// Only violations the step can touch are re-checked. No eliminated
+    /// violation `(κ, h)` holds in the current `D`: it left `V` at the
+    /// step that eliminated it, and req2 kept it out at every step since.
+    /// So either some fact of `h(body)` is missing from `D`,
+    /// or the head holds in `D`. A TGD head is monotone in `D`, and EGD
+    /// and DC heads do not read `D` at all (a DC head never holds). Hence
+    /// `(κ, h)` can hold again in `op(D)` only when
+    ///
+    /// * `op` is a deletion and `κ` is a TGD (its head may lose its
+    ///   witness), or
+    /// * `op` is an insertion whose facts meet `h(body)` (a missing body
+    ///   fact may come back).
+    ///
+    /// Every other eliminated violation is skipped without evaluating it.
+    /// On key and denial constraint sets every extension is a deletion,
+    /// so req2 then costs nothing.
     fn req2_holds(&self, op: &Operation) -> bool {
-        if self.eliminated.is_empty() {
-            return true;
-        }
-        let patched = PatchSource::apply(&self.db, op);
-        self.eliminated
-            .iter()
-            .all(|v| !v.holds_in(self.ctx.sigma(), &patched))
+        let sigma = self.ctx.sigma();
+        let mut patched = None;
+        self.eliminated.iter().all(|v| {
+            if !may_hold_again(sigma, v, op) {
+                return true;
+            }
+            let patched = patched.get_or_insert_with(|| PatchSource::apply(&self.db, op));
+            !v.holds_in(sigma, patched)
+        })
     }
 
     /// Global justification of additions (Def. 4, cond. 3): if `op` deletes
@@ -233,54 +253,58 @@ impl RepairState {
     /// callers must only pass legal extensions.
     pub fn apply(&self, op: &Operation) -> RepairState {
         let mut next = self.clone();
-        let pre_db = match op {
-            Operation::Insert(_) => Some(self.db.clone()),
-            Operation::Delete(_) => None,
-        };
+        next.advance(op);
+        next
+    }
+
+    /// [`apply`](Self::apply) in place: moves this state to its successor
+    /// under `op` without copying it. Only an insertion copies the
+    /// database, as the pre-state its global justification is re-checked
+    /// against. The same contract holds: `op` must be a legal extension.
+    pub fn advance(&mut self, op: &Operation) {
         let mut added_now: Vec<Fact> = Vec::new();
         let mut removed_now: Vec<Fact> = Vec::new();
         match op {
             Operation::Insert(fs) => {
+                let pre_db = self.db.clone();
                 for f in fs.facts() {
-                    if next.db.insert(f).expect("base facts fit the schema") {
+                    if self.db.insert(f).expect("base facts fit the schema") {
                         added_now.push(f.clone());
                     }
-                    next.added.insert(f.clone());
+                    self.added.insert(f.clone());
                 }
-                next.additions.push(AdditionRecord {
+                self.additions.push(AdditionRecord {
                     fact_set: fs.clone(),
-                    pre_db: pre_db.expect("snapshot taken for insertions"),
+                    pre_db,
                     deletions_since: BTreeSet::new(),
                 });
             }
             Operation::Delete(fs) => {
                 for f in fs.facts() {
-                    if next.db.remove(f) {
+                    if self.db.remove(f) {
                         removed_now.push(f.clone());
                     }
-                    next.removed.insert(f.clone());
+                    self.removed.insert(f.clone());
                 }
-                for rec in &mut next.additions {
+                for rec in &mut self.additions {
                     rec.deletions_since.extend(fs.facts().iter().cloned());
                 }
             }
         }
-        next.steps.push(op.clone());
+        self.steps.push(op.clone());
         // Semi-naive maintenance of V(D, Σ): exact, seeded at the changed
         // facts (validated against full recomputation by the property
         // tests in `ocqa_logic::incremental`).
         let new_violations = ocqa_logic::incremental::update_violations(
             self.ctx.sigma(),
-            &next.db,
+            &self.db,
             &self.violations,
             &added_now,
             &removed_now,
         );
-        for v in self.violations.difference(&new_violations) {
-            next.eliminated.insert(v);
-        }
-        next.violations = new_violations;
-        next
+        self.eliminated
+            .extend(self.violations.difference(&new_violations));
+        self.violations = new_violations;
     }
 
     /// Debug validator: re-derives the whole sequence from `D` and checks
@@ -341,6 +365,20 @@ impl RepairState {
     }
 }
 
+/// Whether the eliminated violation `v` can hold again after `op` — the
+/// pruning rule behind [`RepairState::req2_holds`], whose doc comment
+/// gives the argument.
+fn may_hold_again(sigma: &ConstraintSet, v: &Violation, op: &Operation) -> bool {
+    let kappa = sigma.get(v.constraint as usize);
+    match op {
+        Operation::Delete(_) => matches!(kappa, Constraint::Tgd { .. }),
+        Operation::Insert(fs) => kappa
+            .body()
+            .iter()
+            .any(|atom| atom.apply(&v.hom).is_some_and(|f| fs.contains(&f))),
+    }
+}
+
 impl fmt::Debug for RepairState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "RepairState(depth={}, steps=[", self.depth())?;
@@ -358,6 +396,30 @@ impl fmt::Debug for RepairState {
 mod tests {
     use super::*;
     use ocqa_logic::parser;
+    use proptest::prelude::*;
+
+    /// req2 as the literal definition: every eliminated violation is
+    /// re-checked against `op(D)`.
+    fn literal_req2(s: &RepairState, op: &Operation) -> bool {
+        let patched = PatchSource::apply(&s.db, op);
+        s.eliminated
+            .iter()
+            .all(|v| !v.holds_in(s.ctx.sigma(), &patched))
+    }
+
+    /// [`RepairState::extensions`] with [`literal_req2`].
+    fn unpruned_extensions(s: &RepairState) -> Vec<Operation> {
+        justified_candidates(s)
+            .into_iter()
+            .filter(|op| s.no_cancellation(op))
+            .filter(|op| literal_req2(s, op))
+            .filter(|op| s.global_justification_holds(op))
+            .collect()
+    }
+
+    fn justified_candidates(s: &RepairState) -> Vec<Operation> {
+        justified::justified_operations(s.ctx.sigma(), s.ctx.base(), &s.db, &s.violations)
+    }
 
     fn ctx(facts: &str, constraints: &str) -> Arc<RepairContext> {
         let facts = parser::parse_facts(facts).unwrap();
@@ -482,6 +544,58 @@ mod tests {
         assert!(exts.contains(&del_r));
         let s3 = s.apply(&del_r);
         assert!(s3.is_consistent());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Pruned req2 equals the literal req2 along random walks over
+        /// random instances of a TGD + EGD + DC set, and every successor
+        /// reached by `advance` equals `apply`'s and is a repairing
+        /// sequence. The TGD's two-atom head can be half-witnessed by an
+        /// original fact, so deleting that fact may reintroduce an
+        /// eliminated violation; walks insert TGD witnesses. Pruned req2
+        /// is compared on every justified candidate, not only on those
+        /// no-cancellation lets through, since no-cancellation alone
+        /// already rules out re-adding a deleted body fact.
+        #[test]
+        fn prop_pruned_req2_matches_literal(
+            facts in prop::collection::vec((0usize..4, 0i64..3, 0i64..3), 3..14),
+            choices in prop::collection::vec(any::<u64>(), 1..16))
+        {
+            let facts: Vec<Fact> = facts
+                .into_iter()
+                .map(|(rel, a, b)| Fact::new(["R", "S", "T", "U"][rel], vec![a.into(), b.into()]))
+                .collect();
+            let sigma = parser::parse_constraints(
+                "T(x,y) -> exists z: R(y,z), U(z,y). \
+                 R(x,y), R(x,z) -> y = z. \
+                 R(x,y), S(x,y) -> false.",
+            )
+            .unwrap();
+            let schema = parser::infer_schema(&facts, &sigma).unwrap();
+            let db = Database::from_facts(schema, facts).unwrap();
+            let mut s = RepairState::initial(RepairContext::new(db, sigma));
+            for choice in choices {
+                for op in justified_candidates(&s) {
+                    prop_assert_eq!(s.req2_holds(&op), literal_req2(&s, &op), "{} at {:?}", op, s);
+                }
+                let exts = s.extensions();
+                prop_assert_eq!(&exts, &unpruned_extensions(&s), "at {:?}", s);
+                if exts.is_empty() {
+                    break;
+                }
+                let op = &exts[(choice % exts.len() as u64) as usize];
+                let applied = s.apply(op);
+                s.advance(op);
+                prop_assert!(s.db.same_facts(&applied.db) && s.steps == applied.steps);
+                prop_assert_eq!(&s.violations, &applied.violations);
+                prop_assert_eq!(&s.eliminated, &applied.eliminated);
+                if let Err(e) = s.check_invariants() {
+                    prop_assert!(false, "{}", e);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,12 @@ use std::sync::Arc;
 /// * a **version counter** bumped on every mutation, letting callers cheaply
 ///   detect staleness of derived structures.
 ///
-/// `Database` is a value type: `clone` snapshots the full state. The
-/// repairing-sequence machinery clones at most once per insertion operation
-/// (for the paper's global-justification re-checks), and relation stores
-/// clone their indexes along with the data.
+/// `Database` is a value type: `clone` snapshots the full state. A
+/// `Sample` walk clones it once at its start and then at most once per
+/// insertion operation (the pre-state for the paper's global-justification
+/// re-checks); exact exploration, which keeps every state it branches
+/// from, clones it per step. Relation stores clone their indexes along
+/// with the data.
 #[derive(Clone)]
 pub struct Database {
     schema: Arc<Schema>,
