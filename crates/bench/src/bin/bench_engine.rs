@@ -1,10 +1,9 @@
 //! Machine-readable engine latency snapshot: per-plan cold and cached
 //! `answer` timings, emitted as one JSON document on stdout.
 //!
-//! The criterion benches (`engine_throughput` et al.) are the precision
-//! instrument; this binary is the *trajectory* instrument — fast enough
-//! to run on every PR and diff, feeding the checked-in
-//! `BENCH_engine.json` snapshot the ROADMAP asks for. Each plan family
+//! `bench_e2e` times real processes over sockets; this binary times
+//! in-process calls, fast enough to run on every change and diff,
+//! feeding the checked-in `BENCH_engine.json` history. Each plan family
 //! is measured on the workload that routes to it:
 //!
 //! * `key-repair` — the key-conflict workload under `uniform-deletions`
@@ -34,6 +33,11 @@
 //! shard during a live 2→3 grow, at several database sizes (see
 //! [`rebalance`]).
 //!
+//! The `store_recovery` section compares a cold restore from a
+//! compacted snapshot with re-installing from source text (see
+//! [`store_recovery`]); `exact_exploration` records the states and time
+//! of exact exploration per conflict count (see [`exact_exploration`]).
+//!
 //! The optional argument labels the snapshot (default `dev`); the
 //! checked-in `BENCH_engine.json` is a JSON array of such documents,
 //! one per recorded revision — append a run to extend the history:
@@ -42,18 +46,40 @@
 //! cargo run --release -p ocqa-bench --bin bench_engine -- v0.1.0 > snap.json
 //! ```
 
-use ocqa_bench::key_workload;
+use ocqa_core::{explore, RepairContext, UniformGenerator};
 use ocqa_engine::json::Json;
 use ocqa_engine::{
-    Engine, EngineConfig, EngineRequest, EngineResponse, PlanKind, PushSession, QueryRef,
+    Engine, EngineConfig, EngineRequest, EngineResponse, ParsedDatabase, PlanKind, PushSession,
+    QueryRef,
 };
-use ocqa_workload::{StreamSpec, StreamWorkload};
+use ocqa_store::{DiskBackend, Store, StoreOptions};
+use ocqa_workload::{KeyConflictSpec, KeyConflictWorkload, StreamSpec, StreamWorkload};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const COLD_ITERS: u64 = 40;
 const CACHED_ITERS: u64 = 20_000;
 const CACHED_REPS: usize = 5;
+const RECOVERY_ITERS: u32 = 20;
+const EXACT_ITERS: u32 = 5;
+
+/// The key-conflict workload: `clean` conflict-free tuples plus
+/// `groups` violating key pairs.
+fn key_workload(clean: usize, groups: usize, seed: u64) -> KeyConflictWorkload {
+    KeyConflictWorkload::generate(&KeyConflictSpec {
+        clean_tuples: clean,
+        conflict_groups: groups,
+        group_size: 2,
+        value_domain: 1_000,
+        seed,
+    })
+}
+
+/// `x` rounded to `places` decimals, as a JSON number.
+fn rounded(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((x * scale).round() / scale)
+}
 
 /// One measured scenario: a database, a query, a generator and an
 /// optional plan pin that together route down one plan family.
@@ -68,7 +94,7 @@ struct Scenario {
 }
 
 fn scenarios() -> Vec<Scenario> {
-    let kv = key_workload(50, 16, 2, 7).db.to_string();
+    let kv = key_workload(50, 16, 7).db.to_string();
     vec![
         Scenario {
             plan: "key-repair",
@@ -100,19 +126,24 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn engine_for(s: &Scenario) -> Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
+/// An in-memory engine with `workers` sampler workers and a 256-entry
+/// answer cache.
+fn engine(workers: usize) -> Arc<Engine> {
+    Engine::new(EngineConfig {
+        workers,
         cache_capacity: 256,
         ..EngineConfig::default()
-    });
+    })
+}
+
+/// Installs database `name` on `engine`.
+fn create(engine: &Engine, name: &str, facts: &str, constraints: &str) {
     let resp = engine.handle(EngineRequest::CreateDb {
-        name: s.db.into(),
-        facts: s.facts.clone(),
-        constraints: s.constraints.into(),
+        name: name.into(),
+        facts: facts.into(),
+        constraints: constraints.into(),
     });
     assert!(matches!(resp, EngineResponse::Created(_)), "create failed");
-    engine
 }
 
 fn answer(s: &Scenario, seed: u64) -> EngineRequest {
@@ -140,23 +171,105 @@ fn mean_us(engine: &Engine, iters: u64, mut req: impl FnMut(u64) -> EngineReques
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
+/// Mean milliseconds per call of `f` over `iters` calls.
+fn mean_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e3 / iters as f64
+}
+
+/// Store recovery: the cold-start economics of `--data-dir`. A cold
+/// restore opens a compacted store and decodes one database with its
+/// persisted violation set; a reinstall re-parses the source text and
+/// recomputes `V(D, Σ)` from scratch, the step the snapshot exists to
+/// skip. Figures are mean milliseconds over [`RECOVERY_ITERS`] runs.
+fn store_recovery() -> Json {
+    const CONSTRAINTS: &str = "R(x,y), R(x,z) -> y = z.";
+    let w = key_workload(400, 40, 7);
+    let facts = w.db.to_string();
+    let dir = std::env::temp_dir().join(format!("ocqa-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let backend = Arc::new(
+            DiskBackend::with_options(
+                &dir,
+                StoreOptions {
+                    compact_wal_bytes: u64::MAX,
+                },
+            )
+            .expect("open backend"),
+        );
+        let engine = Engine::with_backend(
+            EngineConfig {
+                workers: 2,
+                cache_capacity: 16,
+                ..EngineConfig::default()
+            },
+            backend.clone(),
+        )
+        .expect("recover empty");
+        create(&engine, "wide", &facts, CONSTRAINTS);
+        backend.store().compact().expect("compact");
+    }
+    let cold_restore_ms = mean_ms(RECOVERY_ITERS, || {
+        let store = Store::open(&dir, StoreOptions::default()).expect("open");
+        let state = store.read_state().expect("read state");
+        assert_eq!(state.databases.len(), 1);
+        state
+    });
+    let reinstall_ms = mean_ms(RECOVERY_ITERS, || {
+        ParsedDatabase::parse(&facts, CONSTRAINTS).expect("parse")
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    Json::obj([
+        ("facts", Json::from(w.db.len() as u64)),
+        ("cold_restore_ms", rounded(cold_restore_ms, 3)),
+        ("reinstall_ms", rounded(reinstall_ms, 3)),
+    ])
+}
+
+/// Exact exploration: the states visited and the mean milliseconds of
+/// `explore::repair_distribution` under `uniform` as key conflicts grow
+/// (Theorem 5's exponential side; the tier-1 test
+/// `exact_state_counts_multiply_monolithic_and_add_localized` pins the
+/// counts). Sampling's side is `bench_e2e`'s `core.walk_us`.
+fn exact_exploration() -> Json {
+    let opts = explore::ExploreOptions {
+        max_states: 10_000_000,
+        record_chain: false,
+    };
+    let mut out = std::collections::BTreeMap::new();
+    for groups in [1usize, 2, 3, 4] {
+        let w = key_workload(5, groups, 17);
+        let ctx = RepairContext::new(w.db, w.sigma);
+        let mut states = 0;
+        let ms = mean_ms(EXACT_ITERS, || {
+            let dist = explore::repair_distribution(&ctx, &UniformGenerator::new(), &opts)
+                .expect("explore");
+            states = dist.states_visited();
+            dist
+        });
+        out.insert(
+            format!("conflicts_{groups}"),
+            Json::obj([
+                ("states", Json::from(states as u64)),
+                ("ms", rounded(ms, 3)),
+            ]),
+        );
+    }
+    Json::Obj(out)
+}
+
 /// Streaming: one subscriber over the seeded fact stream. Dirty steps
 /// (violation-set changes) are timed update-commit → estimate frame
 /// read; clean steps are timed as plain updates — they must push
 /// nothing, so their cost is the incremental violation check alone.
 fn streaming() -> Json {
     let w = StreamWorkload::generate(&StreamSpec::default());
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
-        cache_capacity: 256,
-        ..EngineConfig::default()
-    });
-    let resp = engine.handle(EngineRequest::CreateDb {
-        name: "stream".into(),
-        facts: w.facts.clone(),
-        constraints: w.constraints.clone(),
-    });
-    assert!(matches!(resp, EngineResponse::Created(_)), "create failed");
+    let engine = engine(4);
+    create(&engine, "stream", &w.facts, &w.constraints);
     let session = PushSession::new();
     let sub = format!(
         r#"{{"op":"subscribe","db":"stream","query":"{}","eps":0.1,"delta":0.1,"seed":7}}"#,
@@ -194,9 +307,7 @@ fn streaming() -> Json {
             cleans += 1;
         }
     }
-    let mean = |total: Duration, n: u64| {
-        Json::Num((total.as_secs_f64() * 1e6 / n as f64 * 100.0).round() / 100.0)
-    };
+    let mean = |total: Duration, n: u64| rounded(total.as_secs_f64() * 1e6 / n as f64, 2);
     Json::obj([
         ("steps", Json::from(w.steps.len() as u64)),
         ("pushed", Json::from(pushes)),
@@ -219,17 +330,8 @@ fn saturation() -> Json {
     assert_eq!(scenario.plan, "monolithic");
     let mut answer_rates = std::collections::BTreeMap::new();
     for workers in [1usize, 2, 4, 8] {
-        let engine = Engine::new(EngineConfig {
-            workers,
-            cache_capacity: 256,
-            ..EngineConfig::default()
-        });
-        let resp = engine.handle(EngineRequest::CreateDb {
-            name: scenario.db.into(),
-            facts: scenario.facts.clone(),
-            constraints: scenario.constraints.into(),
-        });
-        assert!(matches!(resp, EngineResponse::Created(_)), "create failed");
+        let engine = engine(workers);
+        create(&engine, scenario.db, &scenario.facts, scenario.constraints);
         let start = Instant::now();
         std::thread::scope(|scope| {
             for client in 0..CLIENTS {
@@ -248,10 +350,7 @@ fn saturation() -> Json {
             }
         });
         let rate = CLIENTS as f64 * ANSWERS_PER_CLIENT as f64 / start.elapsed().as_secs_f64();
-        answer_rates.insert(
-            format!("workers_{workers}"),
-            Json::Num((rate * 10.0).round() / 10.0),
-        );
+        answer_rates.insert(format!("workers_{workers}"), rounded(rate, 1));
     }
 
     Json::obj([
@@ -310,7 +409,7 @@ fn rebalance() -> Json {
             format!("facts_{facts_n}"),
             Json::obj([
                 ("moved", Json::from(moved as u64)),
-                ("move_ms", Json::Num((per_move_ms * 100.0).round() / 100.0)),
+                ("move_ms", rounded(per_move_ms, 2)),
             ]),
         );
     }
@@ -321,7 +420,8 @@ fn main() {
     let rev = std::env::args().nth(1).unwrap_or_else(|| "dev".to_string());
     let mut plans = std::collections::BTreeMap::new();
     for s in scenarios() {
-        let engine = engine_for(&s);
+        let engine = engine(4);
+        create(&engine, s.db, &s.facts, s.constraints);
         // Cold: a fresh seed per request defeats the cache; every
         // iteration pays the full walk budget on the pool.
         let cold_us = mean_us(&engine, COLD_ITERS, |i| answer(&s, 1000 + i));
@@ -337,8 +437,8 @@ fn main() {
         plans.insert(
             s.plan.to_string(),
             Json::obj([
-                ("cold_us", Json::Num((cold_us * 100.0).round() / 100.0)),
-                ("cached_us", Json::Num((cached_us * 100.0).round() / 100.0)),
+                ("cold_us", rounded(cold_us, 2)),
+                ("cached_us", rounded(cached_us, 2)),
             ]),
         );
     }
@@ -361,6 +461,8 @@ fn main() {
         ("rebalance", rebalance()),
         ("streaming", streaming()),
         ("saturation", saturation()),
+        ("store_recovery", store_recovery()),
+        ("exact_exploration", exact_exploration()),
     ]);
     println!("{doc}");
 }

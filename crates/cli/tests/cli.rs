@@ -1,15 +1,38 @@
 //! End-to-end tests of the `ocqa` command-line driver.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ocqa-cli-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-{name}", std::process::id()));
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(contents.as_bytes()).unwrap();
-    path
+/// A temp file that belongs to one test: its name is unique per call,
+/// so parallel tests never rewrite a file another test's `ocqa` child
+/// is reading, and it is removed when the test drops it.
+struct TempFile(PathBuf);
+
+impl std::ops::Deref for TempFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn write_temp(name: &str, contents: &str) -> TempFile {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "ocqa-cli-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, contents).unwrap();
+    TempFile(path)
 }
 
 fn ocqa(args: &[&str]) -> (String, String, bool) {
@@ -24,7 +47,7 @@ fn ocqa(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn preference_files() -> (std::path::PathBuf, std::path::PathBuf) {
+fn preference_files() -> (TempFile, TempFile) {
     let facts = write_temp(
         "pref.facts",
         "Pref(a,b). Pref(a,c). Pref(a,d). Pref(b,a). Pref(b,d). Pref(c,a).",

@@ -501,6 +501,23 @@ mod tests {
                     dels.len()
                 );
             }
+            // The paper's "keep at most one" (1/3 per outcome on a pair)
+            // agrees with the chain on a pair, and only there.
+            let keep = KeyRepairSampler::new(&db, &cfg(), &GroupPolicy::KeepAtMostOneUniform)
+                .unwrap()
+                .exact_distribution();
+            let keep_agrees = keep.iter().all(|(dels, p)| {
+                let mut repaired = db.clone();
+                for f in dels {
+                    repaired.remove(f);
+                }
+                exact.probability_of(&repaired) == *p
+            });
+            assert_eq!(
+                keep_agrees,
+                size == 2,
+                "keep-at-most-one, group size {size}"
+            );
         }
     }
 

@@ -14,8 +14,10 @@ use std::collections::HashMap;
 ///   compacts itself once tombstones outnumber live rows.
 ///
 /// The posting lists are what make violation detection fast: the
-/// homomorphism engine looks up bound columns instead of scanning (an
-/// ablation of this choice is benchmarked in `ocqa-bench`).
+/// homomorphism engine looks up bound columns instead of scanning. On
+/// the key self-join `R(x,y), R(x,z)`, an ablation recorded in
+/// CHANGES.md (release build, 2-core VM) took 1.0 ms indexed vs 2.7 ms
+/// by naive nested scan at 1,000 tuples, and 12.5 ms vs 194 ms at 10,000.
 #[derive(Clone, Debug)]
 pub struct RelationStore {
     arity: usize,

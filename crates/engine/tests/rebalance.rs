@@ -18,7 +18,25 @@ use std::sync::{Arc, Mutex};
 const WORKERS: usize = 2;
 const CACHE: usize = 64;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+/// A fresh temp dir that belongs to one test, removed when the test
+/// drops it.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     use std::sync::atomic::AtomicU64;
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -28,7 +46,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+    TempDir(dir)
 }
 
 /// Starts `n` single-shard engines behind TCP listeners (what

@@ -21,7 +21,8 @@
 //! The implementation favours clarity and exactness over asymptotic speed:
 //! the magnitudes that appear in repair distributions are a few hundred to a
 //! few thousand bits, where schoolbook algorithms are perfectly adequate
-//! (see `benches/num.rs` in `ocqa-bench`).
+//! (`bench_e2e`'s `num.rat_add_cmp_ns` probe times the walk's `Rat` sums;
+//! CHANGES.md records `UBig` mul/div/gcd at 64–1,024 bits).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,9 @@
 
 use ocqa::core::keyrepair::{GroupPolicy, KeyConfig, KeyRepairSampler};
 use ocqa::prelude::*;
-use ocqa::workload::{IntegrationSpec, IntegrationWorkload, PreferenceWorkload};
+use ocqa::workload::{
+    IntegrationSpec, IntegrationWorkload, KeyConflictSpec, KeyConflictWorkload, PreferenceWorkload,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -82,6 +84,34 @@ fn overlay_equals_materialized_difference() {
     // Also for a conjunctive query exercising the hom-engine path.
     let cq = parser::parse_query("(x, z) <- exists y: (Pref(x,y) & Pref(y,z))").unwrap();
     assert_eq!(cq.answers(&overlay), cq.answers(&materialized));
+
+    // The §5 rewriting Q[R ↦ R − R_del] on the 1,000-tuple key workload
+    // (E7), with 1 % and with 10 % of the facts in R_del.
+    let w = KeyConflictWorkload::generate(&KeyConflictSpec {
+        clean_tuples: 1_000,
+        conflict_groups: 0,
+        group_size: 2,
+        value_domain: 1_000,
+        seed: 99,
+    });
+    let q = parser::parse_query("(x) <- exists y: R(x, y)").unwrap();
+    for del_pct in [1, 10] {
+        let deleted: HashSet<Fact> =
+            w.db.facts()
+                .enumerate()
+                .filter(|(i, _)| i % 100 < del_pct)
+                .map(|(_, f)| f)
+                .collect();
+        assert_eq!(deleted.len(), 10 * del_pct);
+        let overlay = DeletionOverlay::new(&w.db, &deleted);
+        let mut materialized = w.db.clone();
+        for f in &deleted {
+            materialized.remove(f);
+        }
+        let answers = q.answers(&materialized);
+        assert_eq!(answers.len(), 1_000 - deleted.len(), "{del_pct} % deleted");
+        assert_eq!(q.answers(&overlay), answers, "{del_pct} % deleted");
+    }
 }
 
 /// Key-repair sampling with the trust policy matches the trust generator's

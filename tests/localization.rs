@@ -68,6 +68,55 @@ fn chained_conflicts_stay_one_component() {
     }
 }
 
+/// The §6 localization in numbers (E6/E13): on `g` key conflicts of
+/// two tuples each beside 5 clean tuples, monolithic exploration under
+/// `uniform` visits a state count that multiplies with every conflict,
+/// while the localized product visits one that adds 4 per conflict —
+/// and both give every repair the same probability.
+#[test]
+fn exact_state_counts_multiply_monolithic_and_add_localized() {
+    use ocqa::workload::{KeyConflictSpec, KeyConflictWorkload};
+    let key_ctx = |groups: usize| {
+        let w = KeyConflictWorkload::generate(&KeyConflictSpec {
+            clean_tuples: 5,
+            conflict_groups: groups,
+            group_size: 2,
+            value_domain: 1_000,
+            seed: 11,
+        });
+        RepairContext::new(w.db, w.sigma)
+    };
+    let gen = UniformGenerator::new();
+    let opts = explore::ExploreOptions {
+        max_states: 10_000_000,
+        record_chain: false,
+    };
+    // Monolithic stops at 4 conflicts: 5 visit 40,696 states and 6 visit
+    // 732,529, too slow for tier-1.
+    let monolithic = [(1, 4), (2, 25), (3, 226), (4, 2_713)].map(|(groups, states)| {
+        let global = explore::repair_distribution(&key_ctx(groups), &gen, &opts).unwrap();
+        assert_eq!(
+            global.states_visited(),
+            states,
+            "monolithic, {groups} conflicts"
+        );
+        global
+    });
+    for (groups, states) in [(2, 8), (3, 12), (4, 16), (5, 20), (6, 24)] {
+        let local = localize::localized_distribution(&key_ctx(groups), &gen, &opts).unwrap();
+        assert_eq!(
+            local.states_visited(),
+            states,
+            "localized, {groups} conflicts"
+        );
+        if let Some(global) = monolithic.get(groups - 1) {
+            for info in global.repairs() {
+                assert_eq!(local.probability_of(&info.db), info.probability);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
